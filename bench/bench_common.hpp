@@ -15,7 +15,9 @@
 //   --reps N    override the paper's repetition count (same as PINSIM_REPS)
 //   --json P    also write machine-readable results + timing to file P
 //   --stats     print aggregated sim::Engine counters (events fired,
-//               tombstone pops, deferred re-arms, peak heap) after the run
+//               tombstone pops, deferred re-arms, peak heap) after the run;
+//               scenario_cluster also prints each cell's host- and
+//               guest-kernel counters (os::KernelStats, virt::GuestStats)
 #pragma once
 
 #include <chrono>

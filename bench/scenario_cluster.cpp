@@ -115,11 +115,37 @@ std::string join(const std::vector<std::int64_t>& values) {
   return os.str();
 }
 
+/// One cell's host- and guest-kernel counters, summed over its reps
+/// (--stats).
+void print_kernel_stats(const std::string& cell, const os::KernelStats& k,
+                        const virt::GuestStats& g) {
+  std::cout << "  [" << cell << "] kernel stats: context_switches="
+            << k.context_switches << " migrations=" << k.migrations
+            << " cross_socket_migrations=" << k.cross_socket_migrations
+            << " wakeups=" << k.wakeups << " preemptions=" << k.preemptions
+            << " irqs=" << k.irqs << " steals=" << k.steals
+            << " balance_moves=" << k.balance_moves
+            << " throttle_events=" << k.throttle_events
+            << " unthrottle_events=" << k.unthrottle_events
+            << " aggregation_events=" << k.aggregation_events
+            << " tasks_reaped=" << k.tasks_reaped
+            << " migration_penalty_ns=" << k.migration_penalty_total << "\n";
+  std::cout << "  [" << cell << "] guest stats: dispatches=" << g.dispatches
+            << " guest_migrations=" << g.guest_migrations
+            << " bursts=" << g.bursts << " io_exits=" << g.io_exits
+            << " kicks=" << g.kicks << " halts=" << g.halts
+            << " throttle_events=" << g.throttle_events
+            << " unthrottle_events=" << g.unthrottle_events
+            << " tasks_reaped=" << g.tasks_reaped
+            << " granted_ns=" << g.granted << "\n";
+}
+
 /// Measure every (cell, rep) of one fleet figure, fanning across the
 /// pool; results are gathered in index order, so the figure and the
-/// per-cell counter lines never depend on completion order.
+/// per-cell counter lines never depend on completion order. With
+/// `kernel_stats`, each cell also prints its folded kernel counters.
 stats::Figure measure(const std::string& title, const std::vector<Cell>& cells,
-                      int reps, util::ThreadPool& pool) {
+                      int reps, bool kernel_stats, util::ThreadPool& pool) {
   std::vector<std::vector<std::future<cluster::ClusterResult>>> futures;
   futures.resize(cells.size());
   for (std::size_t c = 0; c < cells.size(); ++c) {
@@ -141,6 +167,8 @@ stats::Figure measure(const std::string& title, const std::vector<Cell>& cells,
     std::vector<std::int64_t> dispatched;
     std::vector<std::int64_t> scale_ups;
     std::vector<std::int64_t> peak_active;
+    os::KernelStats kernel;
+    virt::GuestStats guest;
     for (int rep = 0; rep < reps; ++rep) {
       const cluster::ClusterResult result =
           futures[c][static_cast<std::size_t>(rep)].get();
@@ -151,6 +179,8 @@ stats::Figure measure(const std::string& title, const std::vector<Cell>& cells,
       dispatched.push_back(result.dispatched);
       scale_ups.push_back(result.scale_ups);
       peak_active.push_back(result.peak_active);
+      kernel += result.kernel_stats;
+      guest += result.guest_stats;
     }
     stats::Series& series = figure.add_series(cells[c].name);
     series.set(0, stats::confidence_95(p50));
@@ -160,6 +190,7 @@ stats::Figure measure(const std::string& title, const std::vector<Cell>& cells,
     std::cout << "  [" << cells[c].name << "] requests=" << join(dispatched)
               << " scale_ups=" << join(scale_ups)
               << " peak_active=" << join(peak_active) << "\n";
+    if (kernel_stats) print_kernel_stats(cells[c].name, kernel, guest);
   }
   return figure;
 }
@@ -188,7 +219,7 @@ int main(int argc, char** argv) {
             << reps << " reps):\n";
   const stats::Figure wordpress =
       measure("Cluster — WordPress fleet (50 hosts, 100M req/day, SLO 0.35 s)",
-              wordpress_cells, reps, pool);
+              wordpress_cells, reps, options.engine_stats, pool);
 
   std::vector<Cell> cassandra_cells;
   make_cells(cassandra_base(options), 4, 3, cassandra_cells);
@@ -196,7 +227,7 @@ int main(int argc, char** argv) {
             << " reps):\n";
   const stats::Figure cassandra =
       measure("Cluster — Cassandra fleet (10 hosts, bursts, SLO 0.25 s)",
-              cassandra_cells, reps, pool);
+              cassandra_cells, reps, options.engine_stats, pool);
 
   core::ReportOptions report_options;
   report_options.precision = 4;  // tail fractions need the digits

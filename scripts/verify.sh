@@ -19,8 +19,11 @@
 #    (util::ThreadPool, ExperimentRunner::measure_all, and the
 #    barrier-synchronized sim::ShardedEngine round loop are the only
 #    concurrent code in the tree; TSan is the only tool that proves
-#    the sweep protocol and the shard workers race-free). Skipped
-#    together with the other sanitizers via PINSIM_SKIP_SANITIZERS=1.
+#    the sweep protocol and the shard workers race-free). The task
+#    reclamation tests and the threaded cluster golden run here too: a
+#    sharded fleet frees exited request tasks on its shard threads.
+#    Skipped together with the other sanitizers via
+#    PINSIM_SKIP_SANITIZERS=1.
 # 4. Build micro_engine + micro_sched + micro_shard + micro_cluster in a
 #    Release tree so perf-relevant flags (-O2 -DNDEBUG) compile on every
 #    PR, and run the micro suites once, writing machine-readable timings
@@ -63,7 +66,7 @@ if [[ "${PINSIM_SKIP_SANITIZERS:-0}" != "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
   cmake --build build-tsan --target pinsim_tests -j
   ./build-tsan/tests/pinsim_tests \
-    --gtest_filter='ThreadPoolTest.*:ExperimentParallelTest.*:ShardedEngine*.*:ShardedFleetTest.*:ClusterFleetTest.*'
+    --gtest_filter='ThreadPoolTest.*:ExperimentParallelTest.*:ShardedEngine*.*:ShardedFleetTest.*:ClusterFleetTest.*:ClusterGoldenTest.*:TaskReclaimTest.*:*PlatformReclaimTest.*:RequestSourceTest.*'
 fi
 
 echo "== Release build of the micro-benchmarks =="

@@ -9,6 +9,7 @@
 #include "core/sharded_fleet.hpp"
 #include "util/check.hpp"
 #include "virt/platform.hpp"
+#include "virt/vm.hpp"
 #include "workload/request_source.hpp"
 
 namespace pinsim::cluster {
@@ -302,6 +303,10 @@ ClusterResult Fleet::run() {
     report.dispatched = dispatched_per_host[i];
     report.served = sources[i]->served();
     out.hosts.push_back(std::move(report));
+    out.kernel_stats += built.hosts[i]->kernel().stats();
+    if (auto* vm = dynamic_cast<virt::VmPlatform*>(built.platforms[i].get())) {
+      out.guest_stats += vm->guest().stats();
+    }
   }
   out.final_active = balancer.active_count();
   out.shard_stats = sharded.stats();

@@ -48,6 +48,7 @@
 #include "sim/sharded_engine.hpp"
 #include "util/units.hpp"
 #include "virt/factory.hpp"
+#include "virt/guest.hpp"
 #include "workload/cassandra.hpp"
 #include "workload/profiles.hpp"
 #include "workload/wordpress.hpp"
@@ -147,6 +148,11 @@ struct ClusterResult {
   int final_active = 0;
   sim::ShardedEngineStats shard_stats;
   sim::EngineStats engine_stats;
+  /// Every host kernel's counters, folded in host order.
+  os::KernelStats kernel_stats;
+  /// Every guest kernel's counters (VM and VMCN hosts), folded in host
+  /// order.
+  virt::GuestStats guest_stats;
 };
 
 class Fleet {

@@ -137,17 +137,29 @@ std::vector<Task*> Cgroup::take_parked() {
 void Cgroup::add_member(Task& task) {
   PINSIM_CHECK(task.cgroup == nullptr || task.cgroup == this);
   task.cgroup = this;
-  if (std::find(members_.begin(), members_.end(), &task) == members_.end()) {
-    members_.push_back(&task);
-  }
+  if (is_member(task)) return;
+  task.member_index = static_cast<int>(members_.size());
+  members_.push_back(&task);
 }
 
 void Cgroup::remove_member(Task& task) {
   PINSIM_CHECK(task.cgroup == this);
+  PINSIM_CHECK_MSG(is_member(task),
+                   "task " << task.name() << " not a member here");
   if (is_parked(task)) unpark(task);
   task.cgroup = nullptr;
-  members_.erase(std::remove(members_.begin(), members_.end(), &task),
-                 members_.end());
+  const std::size_t index = static_cast<std::size_t>(task.member_index);
+  Task* last = members_.back();
+  members_[index] = last;
+  last->member_index = static_cast<int>(index);
+  members_.pop_back();
+  task.member_index = -1;
+}
+
+bool Cgroup::is_member(const Task& task) const {
+  const int index = task.member_index;
+  return index >= 0 && index < static_cast<int>(members_.size()) &&
+         members_[static_cast<std::size_t>(index)] == &task;
 }
 
 }  // namespace pinsim::os

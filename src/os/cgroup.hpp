@@ -101,8 +101,14 @@ class Cgroup {
   SimDuration runtime_horizon(hw::CpuId cpu) const;
 
   // --- membership (maintained by the owning kernel) -----------------------
+  /// Join the group. O(1); the task records its slot index. Joining
+  /// again is a no-op.
   void add_member(Task& task);
+  /// Leave the group (swap-and-pop, O(1)), unparking the task first if
+  /// bandwidth throttling parked it.
   void remove_member(Task& task);
+  bool is_member(const Task& task) const;
+  /// Current members, in no particular order.
   const std::vector<Task*>& members() const { return members_; }
 
   // --- parked tasks (bandwidth throttling) --------------------------------

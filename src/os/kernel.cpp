@@ -67,6 +67,23 @@ void Kernel::refresh_cpu_masks(hw::CpuId cpu) {
 
 Kernel::~Kernel() = default;
 
+KernelStats& operator+=(KernelStats& into, const KernelStats& from) {
+  into.context_switches += from.context_switches;
+  into.migrations += from.migrations;
+  into.cross_socket_migrations += from.cross_socket_migrations;
+  into.wakeups += from.wakeups;
+  into.preemptions += from.preemptions;
+  into.irqs += from.irqs;
+  into.steals += from.steals;
+  into.balance_moves += from.balance_moves;
+  into.throttle_events += from.throttle_events;
+  into.unthrottle_events += from.unthrottle_events;
+  into.aggregation_events += from.aggregation_events;
+  into.tasks_reaped += from.tasks_reaped;
+  into.migration_penalty_total += from.migration_penalty_total;
+  return into;
+}
+
 Cgroup& Kernel::create_cgroup(Cgroup::Config config) {
   if (!config.cpuset.empty()) {
     PINSIM_CHECK_MSG(config.cpuset.subset_of(topology_->all_cpus()),
@@ -79,13 +96,11 @@ Cgroup& Kernel::create_cgroup(Cgroup::Config config) {
 Task& Kernel::create_task(std::string name,
                           std::unique_ptr<TaskDriver> driver,
                           TaskConfig config) {
-  const Task::Id id = static_cast<Task::Id>(tasks_.size());
-  tasks_.push_back(
-      std::make_unique<Task>(id, std::move(name), std::move(driver)));
-  Task& task = *tasks_.back();
+  stats_.tasks_reaped += tasks_.reap();
+  Task& task = tasks_.add(std::move(name), std::move(driver));
   // Every queue could in the worst case hold every task; pre-sizing
   // here keeps Runqueue::enqueue allocation-free on the hot path.
-  for (Runqueue& rq : rq_) rq.reserve(tasks_.size());
+  for (Runqueue& rq : rq_) rq.reserve(tasks_.tasks().size());
   task.affinity = config.affinity;
   if (!task.affinity.empty()) {
     PINSIM_CHECK_MSG(!(task.affinity & topology_->all_cpus()).empty(),
@@ -96,10 +111,11 @@ Task& Kernel::create_task(std::string name,
   task.compute_inflation = config.compute_inflation;
   task.numa_home = config.numa_home;
   task.device_local_start = config.device_local_start;
+  task.detached = config.detached;
+  task.on_exit = std::move(config.on_exit);
   if (config.cgroup != nullptr) {
     config.cgroup->add_member(task);
   }
-  on_exit_.push_back(std::move(config.on_exit));
   return task;
 }
 
@@ -583,8 +599,7 @@ void Kernel::finish_task(Task& task) {
   task.state = TaskState::Finished;
   task.stats.finished_at = now();
   --live_tasks_;
-  auto& on_exit = on_exit_[static_cast<std::size_t>(task.id())];
-  if (on_exit) on_exit(task);
+  tasks_.exit(task);
 }
 
 void Kernel::deliver(Task& from, Task& to, int count) {

@@ -72,8 +72,13 @@ struct KernelStats {
   std::int64_t throttle_events = 0;
   std::int64_t unthrottle_events = 0;
   std::int64_t aggregation_events = 0;
+  /// Detached tasks freed after exit (see TaskTable).
+  std::int64_t tasks_reaped = 0;
   SimDuration migration_penalty_total = 0;
 };
+
+/// Field-wise sum (fleet-wide folds).
+KernelStats& operator+=(KernelStats& into, const KernelStats& from);
 
 struct TaskConfig {
   /// Allowed cpus; empty = all cpus of this kernel.
@@ -89,6 +94,9 @@ struct TaskConfig {
   bool device_local_start = false;
   /// Invoked when the task exits (response-time collection).
   std::function<void(Task&)> on_exit;
+  /// The spawner never reads the task after its exit callback returns,
+  /// so the kernel may free it (see TaskTable).
+  bool detached = false;
 };
 
 class Kernel {
@@ -145,7 +153,14 @@ class Kernel {
   int live_tasks() const { return live_tasks_; }
   bool idle_cpu(hw::CpuId cpu) const;
   const KernelStats& stats() const { return stats_; }
-  const std::vector<std::unique_ptr<Task>>& tasks() const { return tasks_; }
+  /// Every task created here, in creation order, except detached tasks
+  /// already reclaimed. Joinable tasks (the default) stay until the
+  /// kernel is destroyed and may be read after they exit; a detached
+  /// task is freed at the first create_task() after its exit callback
+  /// returns, so a fleet's memory tracks in-flight requests.
+  const std::vector<std::unique_ptr<Task>>& tasks() const {
+    return tasks_.tasks();
+  }
 
   /// Run the engine until every started task has finished (or `horizon`).
   /// Returns true when all tasks finished.
@@ -292,10 +307,9 @@ class Kernel {
   hw::CpuSet busy_;
   hw::CpuSet queued_;
   std::vector<hw::CpuSet> idle_socket_;
-  std::vector<std::unique_ptr<Task>> tasks_;
+  TaskTable tasks_;
   std::vector<std::unique_ptr<Cgroup>> cgroups_;
   std::vector<SchedObserver*> observers_;
-  std::vector<std::function<void(Task&)>> on_exit_;
 
   int live_tasks_ = 0;
   hw::CpuId irq_rr_ = 0;  // round-robin irq distribution for unpinned IO

@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "hw/cpuset.hpp"
 #include "hw/disk.hpp"
@@ -163,6 +164,15 @@ class Task {
   /// Slot index in the cgroup's parked list (-1 when not parked).
   /// Maintained by Cgroup; nobody else writes it.
   int park_index = -1;
+  /// Slot index in the cgroup's member list (-1 when not a member).
+  /// Maintained by Cgroup; nobody else writes it.
+  int member_index = -1;
+
+  /// Nobody reads this task once its exit callback has returned (like
+  /// pthread_detach): its TaskTable frees it. Set at creation.
+  bool detached = false;
+  /// Invoked when the task exits (response-time collection).
+  std::function<void(Task&)> on_exit;
 
   TaskStats stats;
 
@@ -170,6 +180,40 @@ class Task {
   Id id_;
   std::string name_;
   std::unique_ptr<TaskDriver> driver_;
+};
+
+/// The task records of one executor (the host kernel or a guest
+/// kernel), in creation order.
+///
+/// Ids come from a monotonic counter and are never reused: runqueues
+/// break vruntime ties on Task::id(), so a reused id could reorder a
+/// tie. Tasks are joinable by default and stay in the table until the
+/// executor is destroyed, so callers may read them after exit. A
+/// detached task is queued for reclamation once its exit callback has
+/// returned and freed at the next reap(): its cgroup membership, its
+/// driver, its exit callback and its slot go with it. The executor
+/// calls reap() only when creating a task; since no scheduler frame
+/// touches a task after its exit returns, no frame can still hold a
+/// reaped task.
+class TaskTable {
+ public:
+  /// Append a task with the next id.
+  Task& add(std::string name, std::unique_ptr<TaskDriver> driver);
+
+  /// The task has finished: run its exit callback, then queue it for
+  /// reclamation if it is detached.
+  void exit(Task& task);
+
+  /// Free every queued detached task. Returns how many were freed.
+  std::int64_t reap();
+
+  const std::vector<std::unique_ptr<Task>>& tasks() const { return tasks_; }
+
+ private:
+  std::vector<std::unique_ptr<Task>> tasks_;  // ascending id
+  /// Detached tasks whose exit callback has returned.
+  std::vector<Task*> exited_;
+  Task::Id next_id_ = 0;
 };
 
 /// Convenience driver built from a lambda: `fn(task)` returns the next

@@ -24,6 +24,7 @@ os::Task& ContainerPlatform::spawn(WorkTaskConfig config,
   task_config.weight = config.weight;
   task_config.cgroup = cgroup_;
   task_config.on_exit = std::move(config.on_exit);
+  task_config.detached = config.detached;
   task_config.numa_home = config.numa_home != nullptr
                               ? config.numa_home
                               : std::make_shared<int>(-1);

@@ -21,6 +21,20 @@ GuestKernel::GuestKernel(Host& host, Config config)
 
 int GuestKernel::shard() const { return host_->shard(); }
 
+GuestStats& operator+=(GuestStats& into, const GuestStats& from) {
+  into.dispatches += from.dispatches;
+  into.guest_migrations += from.guest_migrations;
+  into.bursts += from.bursts;
+  into.io_exits += from.io_exits;
+  into.kicks += from.kicks;
+  into.halts += from.halts;
+  into.throttle_events += from.throttle_events;
+  into.unthrottle_events += from.unthrottle_events;
+  into.tasks_reaped += from.tasks_reaped;
+  into.granted += from.granted;
+  return into;
+}
+
 void GuestKernel::attach_vcpu_task(int vcpu, os::Task& host_task) {
   auto& v = vcpus_[static_cast<std::size_t>(vcpu)];
   PINSIM_CHECK(v.host_task == nullptr);
@@ -43,10 +57,8 @@ os::Cgroup& GuestKernel::create_cgroup(os::Cgroup::Config config) {
 os::Task& GuestKernel::create_task(std::string name,
                                    std::unique_ptr<os::TaskDriver> driver,
                                    os::TaskConfig config) {
-  const os::Task::Id id = static_cast<os::Task::Id>(tasks_.size());
-  tasks_.push_back(
-      std::make_unique<os::Task>(id, std::move(name), std::move(driver)));
-  os::Task& task = *tasks_.back();
+  stats_.tasks_reaped += tasks_.reap();
+  os::Task& task = tasks_.add(std::move(name), std::move(driver));
   task.affinity = config.affinity;  // over vCPU ids
   if (!task.affinity.empty()) {
     PINSIM_CHECK_MSG(
@@ -58,10 +70,11 @@ os::Task& GuestKernel::create_task(std::string name,
   // The platform layer folds the hypervisor's inflation into the task
   // configuration (scaled by workload sensitivity).
   task.compute_inflation = config.compute_inflation;
+  task.detached = config.detached;
+  task.on_exit = std::move(config.on_exit);
   if (config.cgroup != nullptr) {
     config.cgroup->add_member(task);
   }
-  on_exit_.push_back(std::move(config.on_exit));
   return task;
 }
 
@@ -479,8 +492,7 @@ void GuestKernel::finish_task(os::Task& task) {
   if (guest_quiet_ && live_tasks_ == 0) {
     guest_quiet_idle_at_ = host_->engine().now();
   }
-  auto& on_exit = on_exit_[static_cast<std::size_t>(task.id())];
-  if (on_exit) on_exit(task);
+  tasks_.exit(task);
 }
 
 void GuestKernel::deliver(os::Task& from, os::Task& to, int count) {

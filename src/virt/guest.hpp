@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -50,8 +49,13 @@ struct GuestStats {
   std::int64_t halts = 0;
   std::int64_t throttle_events = 0;
   std::int64_t unthrottle_events = 0;
+  /// Detached guest tasks freed after exit (see os::TaskTable).
+  std::int64_t tasks_reaped = 0;
   SimDuration granted = 0;  // host cpu time granted to guest work
 };
+
+/// Field-wise sum (fleet-wide folds).
+GuestStats& operator+=(GuestStats& into, const GuestStats& from);
 
 class GuestKernel {
  public:
@@ -102,8 +106,11 @@ class GuestKernel {
   /// never spans shards — all its vCPU tasks live on its host.
   int shard() const;
   const GuestStats& stats() const { return stats_; }
+  /// Same joinable/detached contract as os::Kernel::tasks(): joinable
+  /// guest tasks stay until the guest is destroyed; a detached one is
+  /// freed at the first create_task() after its exit callback returns.
   const std::vector<std::unique_ptr<os::Task>>& tasks() const {
-    return tasks_;
+    return tasks_.tasks();
   }
 
  private:
@@ -169,8 +176,7 @@ class GuestKernel {
   Config config_;
   Rng rng_;
   std::vector<VcpuState> vcpus_;
-  std::vector<std::unique_ptr<os::Task>> tasks_;
-  std::vector<std::function<void(os::Task&)>> on_exit_;
+  os::TaskTable tasks_;
   std::vector<std::unique_ptr<os::Cgroup>> cgroups_;
   std::vector<SimTime> cgroup_next_period_;
   bool housekeeping_active_ = false;

@@ -97,6 +97,9 @@ struct WorkTaskConfig {
   double working_set_mb = 5.0;
   double weight = 1.0;
   std::function<void(os::Task&)> on_exit;
+  /// The spawner never reads the task after `on_exit` returns, so the
+  /// executor may free it (os::TaskConfig::detached).
+  bool detached = false;
   /// First-touch NUMA home shared between sibling threads of one
   /// process. Leave null for a private per-task home; host platforms
   /// allocate one automatically. (Guest tasks are NUMA-exempt: the

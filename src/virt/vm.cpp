@@ -92,6 +92,7 @@ os::Task& VmPlatform::spawn(WorkTaskConfig config,
                             std::unique_ptr<os::TaskDriver> driver) {
   os::TaskConfig task_config = guest_task_config(config);
   task_config.on_exit = std::move(config.on_exit);
+  task_config.detached = config.detached;
   return guest_.create_task(std::move(config.name), std::move(driver),
                             std::move(task_config));
 }

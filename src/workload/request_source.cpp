@@ -80,6 +80,9 @@ class WordPressSource final : public RequestSource {
     task_config.guest_inflation_sensitivity =
         config_.guest_inflation_sensitivity;
     task_config.network_born = true;
+    // Nothing here reads the task after it exits: let the executor free
+    // it, so a serving host's memory tracks in-flight requests.
+    task_config.detached = true;
     task_config.on_exit = [this, done = std::move(done)](os::Task&) {
       --outstanding_;
       ++served_;

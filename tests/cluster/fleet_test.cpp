@@ -150,6 +150,32 @@ TEST(ClusterFleetTest, AutoscalerGrowsTheFleetUnderBurst) {
   expect_identical(result, run_cluster(config));
 }
 
+TEST(ClusterFleetTest, FoldsKernelCountersAcrossHosts) {
+  FleetConfig config = small_fleet(2, 1, 1);
+  const virt::InstanceType& xlarge = virt::instance_by_name("xLarge");
+  config.host_specs = {
+      {virt::PlatformKind::Container, virt::CpuMode::Vanilla, xlarge},
+      {virt::PlatformKind::Vm, virt::CpuMode::Pinned, xlarge},
+  };
+  const ClusterResult web = run_cluster(config);
+  EXPECT_GT(web.kernel_stats.context_switches, 0);
+  EXPECT_GT(web.guest_stats.dispatches, 0);
+  // Per-request WordPress tasks are detached: the container host's
+  // kernel and the VM's guest kernel both reclaim them.
+  EXPECT_GT(web.kernel_stats.tasks_reaped, 0);
+  EXPECT_GT(web.guest_stats.tasks_reaped, 0);
+  EXPECT_LT(web.kernel_stats.tasks_reaped + web.guest_stats.tasks_reaped,
+            web.completed);
+
+  // Cassandra's resident server threads are joinable: nothing is freed.
+  config.app = workload::AppClass::IoNoSql;
+  config.cassandra.server_threads = 2;
+  const ClusterResult cassandra = run_cluster(config);
+  EXPECT_GT(cassandra.kernel_stats.wakeups, 0);
+  EXPECT_EQ(cassandra.kernel_stats.tasks_reaped, 0);
+  EXPECT_EQ(cassandra.guest_stats.tasks_reaped, 0);
+}
+
 TEST(ClusterFleetTest, RejectsNonServingAppClasses) {
   FleetConfig config = small_fleet(2, 1, 1);
   config.app = workload::AppClass::CpuBound;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -111,6 +113,64 @@ TEST(CgroupTest, MembershipMaintained) {
   group.remove_member(task);
   EXPECT_EQ(task.cgroup, nullptr);
   EXPECT_TRUE(group.members().empty());
+}
+
+std::unique_ptr<Task> make_task(Task::Id id) {
+  return std::make_unique<Task>(
+      id, "t" + std::to_string(id),
+      std::make_unique<LambdaDriver>([](Task&) { return Action::exit(); }));
+}
+
+TEST(CgroupTest, JoinLeaveAndRejoinKeepSlotIndexes) {
+  const auto costs = default_costs();
+  Cgroup group(Cgroup::Config{"cn", 0.0, {}}, costs);
+  auto a = make_task(0);
+  auto b = make_task(1);
+  auto c = make_task(2);
+  group.add_member(*a);
+  group.add_member(*b);
+  group.add_member(*c);
+  group.add_member(*b);  // joining twice is a no-op
+  EXPECT_EQ(group.members(), (std::vector<Task*>{a.get(), b.get(), c.get()}));
+  EXPECT_EQ(b->member_index, 1);
+
+  // Leaving out of order swaps the last member into the hole.
+  group.remove_member(*a);
+  EXPECT_EQ(group.members(), (std::vector<Task*>{c.get(), b.get()}));
+  EXPECT_EQ(c->member_index, 0);
+  EXPECT_EQ(a->member_index, -1);
+  EXPECT_FALSE(group.is_member(*a));
+  EXPECT_EQ(a->cgroup, nullptr);
+
+  group.add_member(*a);
+  EXPECT_TRUE(group.is_member(*a));
+  EXPECT_EQ(a->member_index, 2);
+  for (std::size_t i = 0; i < group.members().size(); ++i) {
+    EXPECT_EQ(group.members()[i]->member_index, static_cast<int>(i));
+  }
+  group.remove_member(*b);
+  group.remove_member(*c);
+  group.remove_member(*a);
+  EXPECT_TRUE(group.members().empty());
+  EXPECT_THROW(group.remove_member(*a), InvariantViolation);
+}
+
+TEST(CgroupTest, RemovingAParkedMemberUnparksAndLeaves) {
+  const auto costs = default_costs();
+  Cgroup group(Cgroup::Config{"cn", 1.0, {}}, costs);
+  auto a = make_task(0);
+  auto b = make_task(1);
+  group.add_member(*a);
+  group.add_member(*b);
+  group.park(*a);
+  group.park(*b);
+  group.remove_member(*a);
+  EXPECT_FALSE(group.is_parked(*a));
+  EXPECT_FALSE(group.is_member(*a));
+  EXPECT_EQ(group.parked(), (std::vector<Task*>{b.get()}));
+  EXPECT_EQ(group.members(), (std::vector<Task*>{b.get()}));
+  EXPECT_EQ(b->member_index, 0);
+  EXPECT_EQ(b->park_index, 0);
 }
 
 TEST(CgroupTest, ThrottleOverrunBoundedByOneCharge) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -97,6 +99,36 @@ TEST(RequestSourceTest, SameSeedReplaysIdenticalCompletionTimes) {
   auto source_d =
       make_wordpress_source(*d.platform, WordPressConfig{}, Rng(9));
   EXPECT_EQ(c.serve(*source_c, 24), d.serve(*source_d, 24));
+}
+
+TEST(RequestSourceTest, WordPressTaskCountTracksInFlightNotServed) {
+  // 2,000 requests one after another: each completion injects the next
+  // at the same instant. The per-request tasks are detached, so the
+  // kernel's task table is bounded by the peak number of requests in
+  // flight, not by the number served.
+  constexpr int kRequests = 2000;
+  Bench bench(13);
+  auto source =
+      make_wordpress_source(*bench.platform, WordPressConfig{}, Rng(13));
+  sim::Engine& engine = bench.platform->engine();
+  const os::Kernel& kernel = bench.host.kernel();
+  int injected = 0;
+  int peak_in_flight = 0;
+  std::size_t peak_tasks = 0;
+  std::function<void()> inject_next = [&] {
+    ++injected;
+    source->inject([&] {
+      if (injected < kRequests) engine.schedule_detached(0, inject_next);
+    });
+    peak_in_flight = std::max(peak_in_flight, source->outstanding());
+    peak_tasks = std::max(peak_tasks, kernel.tasks().size());
+  };
+  engine.schedule_detached(0, inject_next);
+  ASSERT_TRUE(engine.run_until(
+      [&] { return source->served() == kRequests; }, sec(3600)));
+  EXPECT_EQ(peak_in_flight, 1);
+  EXPECT_EQ(peak_tasks, static_cast<std::size_t>(peak_in_flight));
+  EXPECT_EQ(kernel.stats().tasks_reaped, kRequests - 1);
 }
 
 TEST(RequestSourceTest, FactoryMapsServingClassesOnly) {

@@ -41,4 +41,18 @@ struct ShardPoker {
   }
 };
 
+// Cgroup membership slots are guarded like the parked list (owner:
+// cgroup.cpp).
+struct MemberTask {
+  int member_index = -1;
+};
+
+struct MemberPoker {
+  std::vector<MemberTask*> members_;
+
+  MemberTask* member(const MemberTask& t) {
+    return members_[t.member_index];  // expect: index-safety
+  }
+};
+
 }  // namespace fixture

@@ -20,7 +20,8 @@
 //                 in those same directories (pointer order is
 //                 allocation order — nondeterministic across runs).
 //   index-safety  raw subscript use of the known back-pointer fields
-//                 (rq_index, park_index, the engine's slot_of_ array)
+//                 (rq_index, park_index, member_index, the engine's
+//                 slot_of_ array)
 //                 outside the files that own the invariant.
 //   engine-api    bare Engine::schedule() in a file that also calls
 //                 reschedule() — persistent timers must be armed with

@@ -130,12 +130,21 @@ TEST(LintIndexSafety, FlagsRawSubscriptsOutsideOwners) {
 }
 
 TEST(LintIndexSafety, OwnerFileMayTouchItsOwnIndex) {
-  // As the rq_index owner, the park_index, slot_of_, outbox_, and
-  // shard_of_ findings remain (their owners are cgroup.cpp, the
-  // engine, the sharded engine, and the fleet respectively).
+  // As the rq_index owner, the park_index, slot_of_, outbox_,
+  // shard_of_ and member_index findings remain (their owners are
+  // cgroup.cpp, the engine, the sharded engine, the fleet, and
+  // cgroup.cpp respectively).
   expect_exactly("index_safety_bad.cpp", "src/os/runqueue.cpp",
                  {{"index-safety", 23},
                   {"index-safety", 26},
+                  {"index-safety", 37},
+                  {"index-safety", 40},
+                  {"index-safety", 54}});
+  // The cgroup owns both of its slot indexes, park_index and
+  // member_index; every other finding remains.
+  expect_exactly("index_safety_bad.cpp", "src/os/cgroup.cpp",
+                 {{"index-safety", 20},
+                  {"index-safety", 23},
                   {"index-safety", 37},
                   {"index-safety", 40}});
 }
@@ -147,12 +156,14 @@ TEST(LintIndexSafety, ShardedOwnersMayTouchTheirOwnIndexes) {
                  {{"index-safety", 20},
                   {"index-safety", 23},
                   {"index-safety", 26},
-                  {"index-safety", 40}});
+                  {"index-safety", 40},
+                  {"index-safety", 54}});
   expect_exactly("index_safety_bad.cpp", "src/core/sharded_fleet.cpp",
                  {{"index-safety", 20},
                   {"index-safety", 23},
                   {"index-safety", 26},
-                  {"index-safety", 37}});
+                  {"index-safety", 37},
+                  {"index-safety", 54}});
 }
 
 TEST(LintIndexSafety, SilentOnReadsLambdasAndAnnotated) {
