@@ -1,5 +1,6 @@
 #include "hw/cpuset.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -8,12 +9,25 @@ namespace pinsim::hw {
 
 CpuSet CpuSet::first_n(int n) { return range(0, n); }
 
+namespace {
+
+/// The `n` lowest bits of a word, for 0 <= n <= 64.
+std::uint64_t low_bits(int n) {
+  return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+}
+
+}  // namespace
+
 CpuSet CpuSet::range(int lo, int hi) {
   PINSIM_CHECK(lo >= 0 && hi <= kMaxCpus && lo <= hi);
+  // One mask per word: the bits below hi minus the bits below lo, both
+  // clamped to the word.
   CpuSet set;
-  for (int cpu = lo; cpu < hi; ++cpu) {
-    set.words_[static_cast<std::size_t>(cpu / 64)] |= std::uint64_t{1}
-                                                      << (cpu % 64);
+  for (int w = 0; w < kWords; ++w) {
+    const int base = w * 64;
+    const int from = std::clamp(lo - base, 0, 64);
+    const int to = std::clamp(hi - base, 0, 64);
+    set.words_[static_cast<std::size_t>(w)] = low_bits(to) & ~low_bits(from);
   }
   return set;
 }

@@ -148,6 +148,9 @@ void Cgroup::remove_member(Task& task) {
                    "task " << task.name() << " not a member here");
   if (is_parked(task)) unpark(task);
   task.cgroup = nullptr;
+  // The placement set folded in this group's cpuset; a task outside its
+  // group has none (only reaping removes members).
+  task.allowed = hw::CpuSet();
   const std::size_t index = static_cast<std::size_t>(task.member_index);
   Task* last = members_.back();
   members_[index] = last;
@@ -160,6 +163,23 @@ bool Cgroup::is_member(const Task& task) const {
   const int index = task.member_index;
   return index >= 0 && index < static_cast<int>(members_.size()) &&
          members_[static_cast<std::size_t>(index)] == &task;
+}
+
+hw::CpuSet placement_set(const std::string& name, const hw::CpuSet& cpus,
+                         const hw::CpuSet& affinity, const Cgroup* group) {
+  const hw::CpuSet cpuset = group != nullptr ? group->cpuset() : hw::CpuSet();
+  hw::CpuSet allowed = cpus;
+  if (!affinity.empty()) allowed = allowed & affinity;
+  if (!cpuset.empty()) allowed = allowed & cpuset;
+  auto render = [](const hw::CpuSet& set) {
+    return set.empty() ? std::string("all") : set.to_string();
+  };
+  PINSIM_CHECK_MSG(!allowed.empty(),
+                   "task " << name << " has no allowed cpus: affinity "
+                           << render(affinity) << ", cgroup cpuset "
+                           << render(cpuset) << ", executor cpus "
+                           << cpus.to_string());
+  return allowed;
 }
 
 }  // namespace pinsim::os

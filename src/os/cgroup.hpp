@@ -146,4 +146,20 @@ class Cgroup {
   Stats stats_;
 };
 
+/// The placement set of a task named `name` created with `affinity` in
+/// `group` (null = no group) on an executor with `cpus`: `cpus` ∩
+/// `affinity` ∩ the group's cpuset, where an empty affinity or cpuset
+/// does not restrict. Throws, naming the task, its affinity and the
+/// cpuset, when the result is empty.
+hw::CpuSet placement_set(const std::string& name, const hw::CpuSet& cpus,
+                         const hw::CpuSet& affinity, const Cgroup* group);
+
+/// Whether a steal or balance pass may move queued `task` to `cpu`: the
+/// cpu is in its placement set and its group is not throttled there
+/// (moving it would only park it).
+inline bool can_migrate_to(const Task& task, hw::CpuId cpu) {
+  return task.allowed.contains(cpu) &&
+         (task.cgroup == nullptr || !task.cgroup->throttled_on(cpu));
+}
+
 }  // namespace pinsim::os

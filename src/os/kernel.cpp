@@ -97,15 +97,14 @@ Task& Kernel::create_task(std::string name,
                           std::unique_ptr<TaskDriver> driver,
                           TaskConfig config) {
   stats_.tasks_reaped += tasks_.reap();
+  // Checked before the task exists, so a bad config leaves no task.
+  const hw::CpuSet allowed = placement_set(name, topology_->all_cpus(),
+                                           config.affinity, config.cgroup);
   Task& task = tasks_.add(std::move(name), std::move(driver));
   // Every queue could in the worst case hold every task; pre-sizing
   // here keeps Runqueue::enqueue allocation-free on the hot path.
   for (Runqueue& rq : rq_) rq.reserve(tasks_.tasks().size());
   task.affinity = config.affinity;
-  if (!task.affinity.empty()) {
-    PINSIM_CHECK_MSG(!(task.affinity & topology_->all_cpus()).empty(),
-                     "task affinity disjoint from host cpus");
-  }
   task.weight = config.weight;
   task.working_set_mb = config.working_set_mb;
   task.compute_inflation = config.compute_inflation;
@@ -116,6 +115,7 @@ Task& Kernel::create_task(std::string name,
   if (config.cgroup != nullptr) {
     config.cgroup->add_member(task);
   }
+  task.allowed = allowed;
   return task;
 }
 

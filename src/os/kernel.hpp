@@ -213,7 +213,6 @@ class Kernel {
   SimDuration remaining_cost_on(const Task& task, hw::CpuId cpu) const;
 
   // --- wakeup path (kernel_wakeup.cpp) -------------------------------------
-  hw::CpuSet allowed_cpus(const Task& task) const;
   /// `hint` is the cpu the wakeup originated on (IRQ handler, message
   /// poster); -1 means no locality hint. Unpinned tasks are pulled
   /// toward the hint's LLC domain (wake_affine), which is what smears a

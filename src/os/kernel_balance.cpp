@@ -37,13 +37,8 @@ void Kernel::steal_for(hw::CpuId cpu) {
     if (rq.size() <= best_load) return;
     // Find the most-serviced task allowed to run here whose group is not
     // throttled (parking them here would just churn).
-    Task* found = rq.max_where([&](const Task& task) {
-      if (!allowed_cpus(task).contains(cpu)) return false;
-      if (task.cgroup != nullptr && task.cgroup->throttled_on(cpu)) {
-        return false;
-      }
-      return true;
-    });
+    Task* found = rq.max_where(
+        [cpu](const Task& task) { return can_migrate_to(task, cpu); });
     if (found != nullptr) {
       best_load = rq.size();
       victim = other;
@@ -102,13 +97,8 @@ void Kernel::periodic_balance() {
   }
 
   auto& from_rq = rq_[static_cast<std::size_t>(busiest)];
-  Task* candidate = from_rq.max_where([&](const Task& task) {
-    if (!allowed_cpus(task).contains(idlest)) return false;
-    if (task.cgroup != nullptr && task.cgroup->throttled_on(idlest)) {
-      return false;
-    }
-    return true;
-  });
+  Task* candidate = from_rq.max_where(
+      [idlest](const Task& task) { return can_migrate_to(task, idlest); });
   if (candidate == nullptr) return;
 
   auto& to_rq = rq_[static_cast<std::size_t>(idlest)];

@@ -15,19 +15,8 @@
 
 namespace pinsim::os {
 
-hw::CpuSet Kernel::allowed_cpus(const Task& task) const {
-  hw::CpuSet allowed = topology_->all_cpus();
-  if (!task.affinity.empty()) allowed = allowed & task.affinity;
-  if (task.cgroup != nullptr && !task.cgroup->cpuset().empty()) {
-    allowed = allowed & task.cgroup->cpuset();
-  }
-  PINSIM_CHECK_MSG(!allowed.empty(),
-                   "task " << task.name() << " has no allowed cpus");
-  return allowed;
-}
-
 hw::CpuId Kernel::place_task(Task& task, hw::CpuId hint) {
-  const hw::CpuSet allowed = allowed_cpus(task);
+  const hw::CpuSet& allowed = task.allowed;
   const hw::CpuId prev = task.last_cpu;
 
   if (task.sticky_wakeup && prev >= 0 && allowed.contains(prev)) {
@@ -199,7 +188,7 @@ hw::CpuId Kernel::irq_target(const Task& task) {
   // cpus, which all live on the first socket — so lightly loaded tasks
   // gravitate there and stay cache/NUMA-local, while an overloaded small
   // container spills across sockets and pays for it.
-  const hw::CpuSet allowed = allowed_cpus(task);
+  const hw::CpuSet& allowed = task.allowed;
   const bool pinned = allowed.count() < topology_->num_cpus();
   if (pinned && task.last_cpu >= 0 && allowed.contains(task.last_cpu)) {
     return task.last_cpu;

@@ -113,6 +113,12 @@ class Task {
   SimDuration vruntime = 0;
   hw::CpuSet affinity;          // empty = all cpus of the executor
   Cgroup* cgroup = nullptr;
+  /// Placement set: the executor's cpus ∩ affinity ∩ the cgroup's
+  /// cpuset, never empty while the task lives. Written once by the
+  /// executor's create_task (affinity and cgroup never change after
+  /// creation) and cleared by Cgroup::remove_member when a reaped task
+  /// leaves its group.
+  hw::CpuSet allowed;
 
   /// Remaining executor-CPU time of the current compute burst.
   SimDuration burst_remaining = 0;

@@ -58,13 +58,12 @@ os::Task& GuestKernel::create_task(std::string name,
                                    std::unique_ptr<os::TaskDriver> driver,
                                    os::TaskConfig config) {
   stats_.tasks_reaped += tasks_.reap();
+  // Affinity and cpuset are over vCPU ids. Checked before the task
+  // exists, so a bad config leaves no task.
+  const hw::CpuSet allowed = os::placement_set(
+      name, hw::CpuSet::first_n(vcpus()), config.affinity, config.cgroup);
   os::Task& task = tasks_.add(std::move(name), std::move(driver));
-  task.affinity = config.affinity;  // over vCPU ids
-  if (!task.affinity.empty()) {
-    PINSIM_CHECK_MSG(
-        !(task.affinity & hw::CpuSet::first_n(vcpus())).empty(),
-        "guest task affinity disjoint from vCPUs");
-  }
+  task.affinity = config.affinity;
   task.weight = config.weight;
   task.working_set_mb = config.working_set_mb;
   // The platform layer folds the hypervisor's inflation into the task
@@ -75,6 +74,7 @@ os::Task& GuestKernel::create_task(std::string name,
   if (config.cgroup != nullptr) {
     config.cgroup->add_member(task);
   }
+  task.allowed = allowed;
   return task;
 }
 
@@ -121,18 +121,8 @@ void GuestKernel::wake(os::Task& task, SimDuration extra_debt) {
 
 // --- scheduling --------------------------------------------------------------
 
-hw::CpuSet GuestKernel::allowed_vcpus(const os::Task& task) const {
-  hw::CpuSet allowed = hw::CpuSet::first_n(vcpus());
-  if (!task.affinity.empty()) allowed = allowed & task.affinity;
-  if (task.cgroup != nullptr && !task.cgroup->cpuset().empty()) {
-    allowed = allowed & task.cgroup->cpuset();
-  }
-  PINSIM_CHECK(!allowed.empty());
-  return allowed;
-}
-
 int GuestKernel::place_task(os::Task& task) {
-  const hw::CpuSet allowed = allowed_vcpus(task);
+  const hw::CpuSet& allowed = task.allowed;
   const int prev = task.last_cpu;
 
   if (task.sticky_wakeup && prev >= 0 && allowed.contains(prev)) {
@@ -240,12 +230,8 @@ os::Task* GuestKernel::pick_next(int vcpu) {
     if (other == vcpu) continue;
     auto& rq = vcpus_[static_cast<std::size_t>(other)].rq;
     if (rq.size() <= best_load) continue;
-    os::Task* found = rq.max_where([&](const os::Task& task) {
-      if (!allowed_vcpus(task).contains(vcpu)) return false;
-      if (task.cgroup != nullptr && task.cgroup->throttled_on(vcpu)) {
-        return false;
-      }
-      return true;
+    os::Task* found = rq.max_where([vcpu](const os::Task& task) {
+      return os::can_migrate_to(task, vcpu);
     });
     if (found != nullptr) {
       best_load = rq.size();
@@ -578,12 +564,8 @@ void GuestKernel::balance_idle_vcpus() {
       if (other == vcpu) continue;
       auto& rq = vcpus_[static_cast<std::size_t>(other)].rq;
       if (rq.size() < best_load) continue;
-      os::Task* found = rq.max_where([&](const os::Task& task) {
-        if (!allowed_vcpus(task).contains(vcpu)) return false;
-        if (task.cgroup != nullptr && task.cgroup->throttled_on(vcpu)) {
-          return false;
-        }
-        return true;
+      os::Task* found = rq.max_where([vcpu](const os::Task& task) {
+        return os::can_migrate_to(task, vcpu);
       });
       if (found != nullptr) {
         best_load = rq.size() + 1;
@@ -624,12 +606,8 @@ void GuestKernel::rotate_surplus_task() {
   if (busiest < 0 || idlest < 0 || max_load - min_load < 1) return;
   auto& from = vcpus_[static_cast<std::size_t>(busiest)];
   if (from.rq.empty()) return;
-  os::Task* candidate = from.rq.max_where([&](const os::Task& task) {
-    if (!allowed_vcpus(task).contains(idlest)) return false;
-    if (task.cgroup != nullptr && task.cgroup->throttled_on(idlest)) {
-      return false;
-    }
-    return true;
+  os::Task* candidate = from.rq.max_where([idlest](const os::Task& task) {
+    return os::can_migrate_to(task, idlest);
   });
   if (candidate == nullptr) return;
   auto& to = vcpus_[static_cast<std::size_t>(idlest)];

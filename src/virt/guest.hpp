@@ -148,7 +148,6 @@ class GuestKernel {
 
   SimDuration slice_for(const VcpuState& v) const;
   SimDuration remaining_cost(const os::Task& task) const;
-  hw::CpuSet allowed_vcpus(const os::Task& task) const;
 
   void ensure_housekeeping();
   void housekeeping_tick();

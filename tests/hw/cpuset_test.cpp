@@ -128,5 +128,35 @@ TEST(CpuSetTest, WordExposesRawBits) {
   EXPECT_EQ(set.word(2), 0ull);
 }
 
+// range() builds each word from a mask; check it against the per-bit
+// definition on every 0 <= lo <= hi <= kMaxCpus pair, which covers the
+// empty ranges and every word edge (63/64/65, 127/128, 256).
+TEST(CpuSetTest, RangeMatchesPerBitReferenceOnEveryPair) {
+  int checked = 0;
+  for (int lo = 0; lo <= CpuSet::kMaxCpus; ++lo) {
+    for (int hi = lo; hi <= CpuSet::kMaxCpus; ++hi) {
+      CpuSet reference;
+      for (int cpu = lo; cpu < hi; ++cpu) reference.add(cpu);
+      const CpuSet built = CpuSet::range(lo, hi);
+      ASSERT_TRUE(built == reference)
+          << "range(" << lo << ", " << hi << ") = " << built.to_string()
+          << ", expected " << reference.to_string();
+      ASSERT_EQ(built.count(), hi - lo);
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, (CpuSet::kMaxCpus + 1) * (CpuSet::kMaxCpus + 2) / 2);
+  EXPECT_TRUE(CpuSet::first_n(CpuSet::kMaxCpus) == ~CpuSet());
+}
+
+TEST(CpuSetTest, RangeRejectsInvertedAndOutOfBoundsRanges) {
+  EXPECT_THROW(CpuSet::range(5, 4), InvariantViolation);
+  EXPECT_THROW(CpuSet::range(-1, 4), InvariantViolation);
+  EXPECT_THROW(CpuSet::range(0, CpuSet::kMaxCpus + 1), InvariantViolation);
+  EXPECT_THROW(CpuSet::range(CpuSet::kMaxCpus + 1, CpuSet::kMaxCpus + 2),
+               InvariantViolation);
+  EXPECT_THROW(CpuSet::first_n(CpuSet::kMaxCpus + 1), InvariantViolation);
+}
+
 }  // namespace
 }  // namespace pinsim::hw

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "hw/topology.hpp"
@@ -218,6 +219,39 @@ TEST(KernelAffinityTest, DisjointAffinityRejected) {
   config.affinity = hw::CpuSet::of({10, 11});  // host has cpus 0..1
   EXPECT_THROW(kernel.create_task("bad", compute_once(msec(1)), config),
                InvariantViolation);
+}
+
+// A task whose affinity misses its cgroup's cpuset has nowhere to run.
+// create_task rejects it (naming the task, its affinity and the cpuset)
+// instead of letting it throw at its first placement, and leaves no
+// half-made task behind.
+TEST(KernelAffinityTest, AffinityDisjointFromCgroupCpusetRejectedAtCreation) {
+  sim::Engine engine;
+  const hw::Topology topo(1, 8, 1, 16.0);
+  hw::CostModel costs;
+  Kernel kernel(engine, topo, costs, Rng(15));
+  Cgroup& group =
+      kernel.create_cgroup({"pinned-cn", 0.0, hw::CpuSet::of({0, 1})});
+  TaskConfig config;
+  config.cgroup = &group;
+  config.affinity = hw::CpuSet::of({4, 5});
+  try {
+    kernel.create_task("stranded", compute_once(msec(1)), config);
+    FAIL() << "create_task accepted a task with no allowed cpus";
+  } catch (const InvariantViolation& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("stranded"), std::string::npos) << message;
+    EXPECT_NE(message.find("affinity 4-5"), std::string::npos) << message;
+    EXPECT_NE(message.find("cpuset 0-1"), std::string::npos) << message;
+  }
+  EXPECT_TRUE(kernel.tasks().empty());
+  EXPECT_TRUE(group.members().empty());
+
+  // An overlapping affinity is accepted and its placement set is the
+  // intersection.
+  config.affinity = hw::CpuSet::of({1, 4});
+  const Task& task = kernel.create_task("ok", compute_once(msec(1)), config);
+  EXPECT_TRUE(task.allowed == hw::CpuSet::of({1}));
 }
 
 }  // namespace

@@ -216,5 +216,41 @@ TEST(VmTest, VmSlowerThanBareMetalForCpuBoundWork) {
   EXPECT_LT(ratio, 2.3);
 }
 
+// The guest kernel checks the placement set at creation too: affinity
+// and cpuset are over vCPU ids, and a disjoint pair is rejected before
+// any task is made.
+TEST(VmTest, GuestTaskWithNoAllowedVcpusRejectedAtCreation) {
+  VmHarness h(CpuMode::Vanilla, "2xLarge");
+  GuestKernel& guest = h.platform.guest();
+  const std::size_t tasks_before = guest.tasks().size();
+  os::Cgroup& group =
+      guest.create_cgroup({"guest-cn", 0.0, hw::CpuSet::of({0, 1})});
+  os::TaskConfig config;
+  config.cgroup = &group;
+  config.affinity = hw::CpuSet::of({6, 7});
+  try {
+    guest.create_task("stranded", compute_once(msec(1)), config);
+    FAIL() << "guest create_task accepted a task with no allowed vCPUs";
+  } catch (const InvariantViolation& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("stranded"), std::string::npos) << message;
+    EXPECT_NE(message.find("affinity 6-7"), std::string::npos) << message;
+    EXPECT_NE(message.find("cpuset 0-1"), std::string::npos) << message;
+  }
+  EXPECT_EQ(guest.tasks().size(), tasks_before);
+  EXPECT_TRUE(group.members().empty());
+
+  // Affinity beyond the guest's vCPUs is disjoint from the executor.
+  os::TaskConfig outside;
+  outside.affinity = hw::CpuSet::of({8, 9});
+  EXPECT_THROW(guest.create_task("outside", compute_once(msec(1)), outside),
+               InvariantViolation);
+
+  config.affinity = hw::CpuSet::of({1, 6});
+  const os::Task& task =
+      guest.create_task("ok", compute_once(msec(1)), config);
+  EXPECT_TRUE(task.allowed == hw::CpuSet::of({1}));
+}
+
 }  // namespace
 }  // namespace pinsim::virt
