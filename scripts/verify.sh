@@ -66,7 +66,7 @@ if [[ "${PINSIM_SKIP_SANITIZERS:-0}" != "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
   cmake --build build-tsan --target pinsim_tests -j
   ./build-tsan/tests/pinsim_tests \
-    --gtest_filter='ThreadPoolTest.*:ExperimentParallelTest.*:ShardedEngine*.*:ShardedFleetTest.*:ClusterFleetTest.*:ClusterGoldenTest.*:TaskReclaimTest.*:*PlatformReclaimTest.*:RequestSourceTest.*:Fig5DeterminismTest.*'
+    --gtest_filter='ThreadPoolTest.*:ExperimentParallelTest.*:ShardedEngine*.*:ShardedFleetTest.*:ClusterFleetTest.*:ClusterGoldenTest.*:TaskReclaimTest.*:*PlatformReclaimTest.*:RequestSourceTest.*:Fig5DeterminismTest.*:Fig3DeterminismTest.*'
 fi
 
 echo "== Release build of the micro-benchmarks =="

@@ -1,6 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <utility>
 
@@ -58,82 +57,75 @@ Engine::~Engine() {
   }
 }
 
-Engine::Entry Engine::pop_min() {
-  // Bottom-up extraction: walk the hole left by the root down the
-  // min-child path to a leaf (child comparisons only), then bubble the
-  // displaced last element up from there. The last element came from the
-  // bottom of the heap, so the up pass almost always stops immediately —
-  // this skips the per-level value comparison of a classic sift-down.
-  // The min-child scan is written so each step is a conditional move,
-  // not a data-dependent branch.
-  const Entry top = heap_.front();
-  const Entry last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return top;
-  std::size_t hole = 0;
-  while (true) {
-    const std::size_t first = 4 * hole + 1;
-    if (first + 4 <= n) {
-      // Full fan-out: pairwise tournament so the two halves race in
-      // parallel instead of one serial cmov chain over four children.
-      const unsigned __int128 k0 = heap_[first].key;
-      const unsigned __int128 k1 = heap_[first + 1].key;
-      const unsigned __int128 k2 = heap_[first + 2].key;
-      const unsigned __int128 k3 = heap_[first + 3].key;
-      const std::size_t a = k1 < k0 ? first + 1 : first;
-      const unsigned __int128 ka = k1 < k0 ? k1 : k0;
-      const std::size_t b = k3 < k2 ? first + 3 : first + 2;
-      const unsigned __int128 kb = k3 < k2 ? k3 : k2;
-      const std::size_t best = kb < ka ? b : a;
-      put(hole, heap_[best]);
-      hole = best;
-      continue;
-    }
-    if (first >= n) break;
-    std::size_t best = first;
-    unsigned __int128 best_key = heap_[first].key;
-    for (std::size_t c = first + 1; c < n; ++c) {
-      const unsigned __int128 ck = heap_[c].key;
-      const bool lt = ck < best_key;
-      best = lt ? c : best;
-      best_key = lt ? ck : best_key;
-    }
-    put(hole, heap_[best]);
-    hole = best;
-  }
-  while (hole > 0) {
-    const std::size_t parent = (hole - 1) >> 2;
-    if (last.key >= heap_[parent].key) break;
-    put(hole, heap_[parent]);
-    hole = parent;
-  }
-  put(hole, last);
-  return top;
+EngineStats& operator+=(EngineStats& into, const EngineStats& from) {
+  into.scheduled += from.scheduled;
+  into.fired += from.fired;
+  into.tombstone_pops += from.tombstone_pops;
+  into.deferred_rearms += from.deferred_rearms;
+  into.reschedules += from.reschedules;
+  into.peak_heap += from.peak_heap;
+  into.boundaries_batched += from.boundaries_batched;
+  into.boundaries_skipped += from.boundaries_skipped;
+  into.quiet_windows += from.quiet_windows;
+  return into;
 }
 
-void Engine::sift_down(std::size_t i) {
-  // Only reached from reschedule() re-keying an entry to the same
-  // instant (fresh seq grows the key), so the walk is usually short.
-  const Entry value = heap_[i];
-  const std::size_t n = heap_.size();
-  while (true) {
-    const std::size_t first = 4 * i + 1;
-    if (first >= n) break;
-    const std::size_t end = std::min(first + 4, n);
-    std::size_t best = first;
-    unsigned __int128 best_key = heap_[first].key;
-    for (std::size_t c = first + 1; c < end; ++c) {
-      const unsigned __int128 ck = heap_[c].key;
-      const bool lt = ck < best_key;
-      best = lt ? c : best;
-      best_key = lt ? ck : best_key;
+void Engine::refill() {
+  const unsigned b =
+      mask_[0] != 0
+          ? static_cast<unsigned>(__builtin_ctzll(mask_[0]))
+          : 64u + static_cast<unsigned>(__builtin_ctzll(mask_[1]));
+  const std::uint32_t first = head_[b];
+  head_[b] = kNil;
+  mask_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+  std::uint32_t best = first;
+  Key best_key = key_[first];
+  for (std::uint32_t i = links_[first].next; i != kNil; i = links_[i].next) {
+    if (key_[i] < best_key) {
+      best = i;
+      best_key = key_[i];
     }
-    if (value.key <= best_key) break;
-    put(i, heap_[best]);
-    i = best;
   }
-  put(i, value);
+  top_ = best;
+  last_ = best_key;
+  // Every other member shares bucket b's high bits with the new last_
+  // and lies above it, so each lands in a bucket strictly below b.
+  for (std::uint32_t i = first; i != kNil;) {
+    const std::uint32_t next = links_[i].next;
+    if (i != best) link(i);
+    i = next;
+  }
+}
+
+// Cold: only the non-monotone pushes described in engine.hpp (and the
+// first push) land here. Out of line so enqueue() stays small on every
+// schedule.
+__attribute__((noinline)) void Engine::rebase(std::uint32_t id) {
+  const Key old_last = last_;
+  const std::uint32_t old_top = top_;
+  last_ = key_[id];
+  top_ = id;
+  // Equal keys only at the very first push, into an empty queue.
+  if (last_ == old_last) return;
+  // Every queued key lies above old_last, which lies above the new
+  // last_; let h be the highest bit where the two lasts differ. A node
+  // in bucket b > h still differs from the new last_ first at bit b, so
+  // it stays put; a node in bucket b < h (and the old top, which sat at
+  // old_last itself) now differs first at bit h. So only the buckets
+  // below h move — the nodes closest to the old minimum.
+  const unsigned h = bucket_of(old_last);
+  for (unsigned b = 0; b < h; ++b) {
+    std::uint32_t i = head_[b];
+    if (i == kNil) continue;
+    head_[b] = kNil;
+    mask_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+    while (i != kNil) {
+      const std::uint32_t next = links_[i].next;
+      link(i);
+      i = next;
+    }
+  }
+  if (old_top != kNil) link(old_top);
 }
 
 // Cold: one call per 256 nodes. Out of line (and never inlined) so
@@ -143,67 +135,68 @@ __attribute__((noinline)) void Engine::grow_slab() {
   // call per 256 nodes, explicitly kept out of line.
   // pinsim-lint: allow(hot-path)
   chunks_.push_back(std::make_unique<Node[]>(std::size_t{1} << kChunkShift));
-  slot_of_.resize(chunks_.size() << kChunkShift);
-  deferred_.resize(chunks_.size() << kChunkShift);
-  cookie_.resize(chunks_.size() << kChunkShift);
-  // Every heap entry and every free-list entry refers to a live node,
-  // so node capacity bounds both. Reserving here makes push_event /
-  // release_node allocation-free between slab growths.
-  heap_.reserve(chunks_.size() << kChunkShift);
-  free_nodes_.reserve(chunks_.size() << kChunkShift);
+  const std::size_t capacity = chunks_.size() << kChunkShift;
+  key_.resize(capacity);
+  links_.resize(capacity);
+  deferred_.resize(capacity);
+  cookie_.resize(capacity);
+  // Every free-list entry refers to a node, so node capacity bounds the
+  // list. Reserving here makes release_node allocation-free between
+  // slab growths.
+  free_nodes_.reserve(capacity);
 }
 
 void Engine::release_node(std::uint32_t slot) {
   // Bumping the generation invalidates every outstanding handle to the
   // node's previous tenant; stale cancel()/pending() become no-ops.
-  // deferred_[slot] may hold stale data — harmless, the tag bit that
-  // validates it died with the heap entry.
+  // The side arrays may hold stale data — harmless, a node's key,
+  // links and deferred key are rewritten before they are next read.
   Node& n = node(slot);
   ++n.gen;
   n.cancelled = false;
   n.tracked = false;
+  n.deferred = false;
   n.fn = Callback();
   free_nodes_.push_back(slot);
 }
 
 // Out of line (and never inlined) so step()'s fast path stays compact:
-// inlining the re-arm push + sift would triple step()'s code size and
-// measurably slow the common fire path.
-__attribute__((noinline)) void Engine::resolve_tagged(
-    std::uint32_t tagged_node) {
-  // The deadline moved later while this entry was armed. Cancel still
+// inlining the re-queue would grow step()'s code size and measurably
+// slow the common fire path.
+__attribute__((noinline)) void Engine::resolve_deferred(std::uint32_t id) {
+  // The deadline moved later while this node was queued. Cancel still
   // wins: a cancelled-after-deferral event tombstones here and its
-  // deferred key is never pushed.
-  const std::uint32_t id = tagged_node & kNodeIdMask;
-  if (node(id).cancelled) {
+  // deferred key is never queued.
+  Node& n = node(id);
+  if (n.cancelled) {
     ++stats_.tombstone_pops;
     release_node(id);
     return;
   }
-  // Re-arm with the (when, seq) pair stored at reschedule() time — one
-  // push (still tracked, so later reschedules keep working), no firing.
+  // Re-queue under the key stored at reschedule() time (still tracked,
+  // so later reschedules keep working), no firing.
   ++stats_.deferred_rearms;
-  const Deferred d = deferred_[id];
-  heap_.push_back(Entry{make_key(d.when, d.seq), id | kTrackedBit});
-  sift_up(heap_.size() - 1);
+  n.deferred = false;
+  enqueue(id, deferred_[id]);
 }
 
 bool Engine::step(SimTime horizon) {
-  while (!heap_.empty()) {
-    if (when_of(heap_.front()) > horizon) return false;
-    const Entry top = pop_min();
-    if (top.node & kDeferredBit) [[unlikely]] {
-      resolve_tagged(top.node);
+  while (!empty()) {
+    const std::uint32_t id = top();
+    const SimTime when = when_of(key_[id]);
+    if (when > horizon) return false;
+    top_ = kNil;
+    Node& n = node(id);
+    if (n.deferred) [[unlikely]] {
+      resolve_deferred(id);
       continue;
     }
-    const std::uint32_t id = top.node & kNodeIdMask;
-    Node& n = node(id);
     if (n.cancelled) {
       ++stats_.tombstone_pops;
       release_node(id);
       continue;
     }
-    now_ = when_of(top);
+    now_ = when;
     ++stats_.fired;
     // Move the callback out and release the node before invoking, so the
     // event reads as no-longer-pending from inside its own callback and
@@ -221,7 +214,7 @@ std::int64_t Engine::run(SimTime horizon) {
   while (step(horizon)) {
     ++fired;
   }
-  if (horizon != kNoHorizon && now_ < horizon && heap_.empty()) {
+  if (horizon != kNoHorizon && now_ < horizon && empty()) {
     now_ = horizon;
   }
   return fired;

@@ -1,6 +1,6 @@
 // Discrete-event simulation engine.
 //
-// A single monotonically advancing clock and a binary heap of events.
+// A single monotonically advancing clock and a radix queue of events.
 // Events scheduled at the same instant fire in scheduling order (FIFO by
 // sequence number) so the simulation is fully deterministic. Events can be
 // cancelled through the returned handle — the kernel uses this to retract
@@ -9,35 +9,41 @@
 // Hot-path design: each event's callback (a small-buffer-optimized
 // move-only util::MoveFunction) and cancellation flag live in a slab
 // node recycled through a free list — no shared_ptr control block per
-// event. The heap itself holds only trivially-copyable entries (time,
-// sequence, node index) packed into one 128-bit key, so sift-up/down
-// moves are plain copies instead of type-erased callback moves.
-// Generation counters on the nodes make stale handles to recycled nodes
-// inert. Fire-and-forget call sites use schedule_detached(), which
-// skips handle construction.
+// event. Generation counters on the nodes make stale handles to
+// recycled nodes inert. Fire-and-forget call sites use
+// schedule_detached(), which skips handle construction.
+//
+// The queue is keyed by slab node id: a node's (when, seq) key, packed
+// into one 128-bit integer, lives in a dense array next to the node,
+// and the node is threaded onto one of 128 intrusive bucket lists. The
+// engine is a monotone priority queue — every pushed key (when >= now,
+// fresh seq) exceeds the last popped key — so a radix queue applies:
+// bucket b holds the keys whose highest bit differing from `last_` (the
+// key of the most recently extracted minimum) is bit b. Taking the
+// minimum scans only the lowest non-empty bucket and relinks its other
+// members into strictly lower buckets, so each node moves a handful of
+// times over its life instead of every pop paying log(n) dependent
+// heap levels. The extracted minimum waits in a scalar top slot until
+// it fires. The one non-monotone case is a push below a key that was
+// extracted without advancing the clock: a minimum left in the top slot
+// (step() stopped at a horizon, pop_batched_peer() declined, or
+// peek_next() looked), or a cancelled or deferred entry that popped.
+// An out-of-line rebase() then makes the new event the minimum and
+// moves the few nodes whose bucket that changes.
 //
 // Timer re-arming is tombstone-free: reschedule() moves a pending
 // event's deadline in place. Re-armable events are scheduled through
-// schedule_tracked()/schedule_tracked_at(), which tag the heap entry;
-// tracked entries maintain a dense node→heap-slot back-pointer array
-// (updated on every heap move, the Task::rq_index trick) that lets
-// reschedule() find the live entry in O(1). Moving a deadline *earlier*
-// is then an O(log n) decrease-key on the live entry. Moving it *later*
-// is a lazy deferral: the new (deadline, seq) pair goes into a dense
-// side array, the live entry gets a second tag bit, and the heap entry
-// is otherwise left alone; when the stale entry reaches the top, step()
-// re-arms it with a single push instead of firing. Either way the event
-// keeps the fire-order key (when, seq-at-reschedule-time) that a
-// cancel() + fresh schedule() would have produced, so simulations are
-// bit-identical to the historical cancel+push pattern — without its
-// dead heap entries.
-//
-// Tracking is opt-in because it is not free: maintaining back-pointers
-// for every entry would add a store to every sift move of every pop,
-// which measurably slows all simulation. A typical kernel has a handful
-// of re-armable timers (per-core boundary timers, the housekeeping
-// tick) among millions of fire-once events, so untracked entries pay
-// only a predicted-not-taken branch per heap move.
+// schedule_tracked()/schedule_tracked_at(). Because a node id is its
+// own queue position, reschedule() finds the live entry in O(1).
+// Moving a deadline *earlier* (or to the same instant) unlinks the node
+// and re-queues it under the new key. Moving it *later* is a lazy
+// deferral: the new key goes into a dense side array, the node is
+// flagged, and the queued key is otherwise left alone; when the stale
+// key reaches the top, step() re-queues it instead of firing. Either
+// way the event keeps the fire-order key (when, seq-at-reschedule-time)
+// that a cancel() + fresh schedule() would have produced, so simulations
+// are bit-identical to the historical cancel+push pattern — without its
+// dead queue entries.
 //
 // Handles must not outlive the engine that issued them (they hold a raw
 // pointer into it); default-constructed handles are inert.
@@ -72,6 +78,10 @@ struct EngineStats {
   std::int64_t quiet_windows = 0;       // quiet-core fast-forwards entered
 };
 
+/// Field-wise sum (every counter, `peak_heap` included), for folding the
+/// engines of a sharded fleet.
+EngineStats& operator+=(EngineStats& into, const EngineStats& from);
+
 /// Process-wide totals across every Engine destroyed so far (each engine
 /// folds its counters in on destruction). The figure benches print this
 /// under --stats; worker-thread engines accumulate atomically.
@@ -104,7 +114,9 @@ class Engine {
  public:
   using Callback = util::MoveFunction;
 
-  Engine() = default;
+  Engine() {
+    for (std::uint32_t& head : head_) head = kNil;
+  }
   ~Engine();
   // EventHandles hold raw pointers into the engine, so it must stay put.
   Engine(const Engine&) = delete;
@@ -152,10 +164,10 @@ class Engine {
     return next_batch_domain_++;
   }
 
-  /// Batched same-instant drain: if the top heap entry is an un-deferred
+  /// Batched same-instant drain: if the top queue entry is an un-deferred
   /// tracked entry armed at exactly now() whose cookie belongs to
   /// `domain`, pop it without dispatching its callback and return the
-  /// cookie's 16-bit payload; otherwise return -1 and leave the heap
+  /// cookie's 16-bit payload; otherwise return -1 and leave the queue
   /// alone. Cancelled matching entries are tombstoned and the scan
   /// continues. Callers loop until -1, handling each payload inline —
   /// one at a time, so a handler that cancels or defers a peer's entry
@@ -163,15 +175,17 @@ class Engine {
   /// one-step()-per-fire path this replaces.
   // pinsim-lint: hot
   int pop_batched_peer(std::uint32_t domain) {
-    while (!heap_.empty()) {
-      const Entry top = heap_.front();
-      if (when_of(top) != now_) return -1;
-      if (!(top.node & kTrackedBit) || (top.node & kDeferredBit)) return -1;
-      const std::uint32_t id = top.node & kNodeIdMask;
+    while (!empty()) {
+      const std::uint32_t id = top();
+      if (when_of(key_[id]) != now_) return -1;
+      // Untracked nodes may carry a previous tenant's cookie; the node
+      // flags below reject them.
       const std::uint32_t cookie = cookie_[id];
       if ((cookie >> 16) != domain) return -1;
-      pop_min();
-      if (node(id).cancelled) {
+      const Node& n = node(id);
+      if (!n.tracked || n.deferred) return -1;
+      top_ = kNil;
+      if (n.cancelled) {
         ++stats_.tombstone_pops;
         release_node(id);
         continue;
@@ -220,16 +234,23 @@ class Engine {
     return predicate();
   }
 
-  bool empty() const { return heap_.empty(); }
-  std::size_t pending_events() const { return heap_.size(); }
+  bool empty() const {
+    return top_ == kNil && (mask_[0] | mask_[1]) == 0;
+  }
+  /// Every live slab node is queued (a node is released exactly when
+  /// its entry pops), so the live-node count is the queue length.
+  std::size_t pending_events() const {
+    return node_count_ - free_nodes_.size();
+  }
 
-  /// Instant of the earliest pending heap entry, or kNoHorizon when the
+  /// Instant of the earliest pending queue entry, or kNoHorizon when the
   /// queue is empty. For an entry whose deadline was deferred later (see
   /// reschedule()) this reports the stale armed instant — a lower bound
   /// on when the event can actually fire, which is exactly what the
-  /// sharded round loop needs for a conservative window.
-  SimTime peek_next() const {
-    return heap_.empty() ? kNoHorizon : when_of(heap_.front());
+  /// sharded round loop needs for a conservative window. Not const: it
+  /// extracts the minimum into the top slot.
+  SimTime peek_next() {
+    return empty() ? kNoHorizon : when_of(key_[top()]);
   }
 
   /// Jump the clock forward to `when` without firing anything. Only
@@ -250,9 +271,9 @@ class Engine {
   /// Counter snapshot. `scheduled` and `peak_heap` are derived here
   /// rather than maintained per event: every reschedule() and every
   /// schedule consumes exactly one sequence number, so scheduled =
-  /// next_seq_ - reschedules; and heap entries map 1:1 onto live slab
+  /// next_seq_ - reschedules; and queue entries map 1:1 onto live slab
   /// nodes (a node is released exactly when its entry pops), so the
-  /// slab high-water mark IS the heap high-water mark.
+  /// slab high-water mark IS the queue high-water mark.
   EngineStats stats() const {
     EngineStats s = stats_;
     s.scheduled =
@@ -268,99 +289,114 @@ class Engine {
 
   /// Slab node: the event's callback plus cancellation state. The
   /// generation counter distinguishes the current tenant event from
-  /// stale handles to earlier tenants of the same node. Deliberately
-  /// free of reschedule state: growing the node (~72 bytes, the pop
-  /// path's main cache-line traffic) measurably slows every simulation.
-  /// `tracked` packs into the tail padding next to `cancelled`.
+  /// stale handles to earlier tenants of the same node. Queue keys and
+  /// links live in dense side arrays, not here: growing the node (~72
+  /// bytes, the pop path's main cache-line traffic) measurably slows
+  /// every simulation. The flags pack into the tail padding. `deferred`
+  /// marks a node whose deadline moved later than its queued key (the
+  /// new key waits in deferred_); `tracked` marks a node that may be
+  /// rescheduled.
   struct Node {
     Callback fn;
     std::uint64_t gen = 0;
     bool cancelled = false;
     bool tracked = false;
+    bool deferred = false;
   };
 
-  /// Deferred re-arm key for a node whose deadline moved later while its
-  /// heap entry stayed armed. Only valid while the entry carries
-  /// kDeferredBit; stale contents are harmless once the bit clears.
-  struct Deferred {
-    SimTime when;
-    std::uint64_t seq;
-  };
-
-  /// Heap entry: trivially copyable so sift moves are plain copies. The
-  /// (when, seq) ordering key is packed into one 128-bit integer so the
-  /// comparison is a single sub/sbb with no data-dependent branch — the
-  /// min-child selection in pop_min() runs on conditional moves instead
-  /// of mispredicting per level. `when` is never negative (the clock
+  /// Ordering key: (when, seq) packed into one 128-bit integer so the
+  /// comparison is a single sub/sbb. `when` is never negative (the clock
   /// starts at zero and only advances), so the unsigned compare is safe.
-  struct Entry {
-    unsigned __int128 key;
-    /// Node id, with kTrackedBit tagged in for rescheduleable entries
-    /// and kDeferredBit tagged in when the event's deadline moved later
-    /// than this entry's key (see reschedule()).
-    std::uint32_t node;
-  };
-
-  /// Tag bits on Entry::node. kTrackedBit marks an entry that maintains
-  /// its node→slot back-pointer in slot_of_; kDeferredBit marks an
-  /// entry whose node has a pending deferral in deferred_ (implies
-  /// tracked). Node ids stay far below 2^30 (the slab would exceed
-  /// memory long before), so the bits are free.
-  static constexpr std::uint32_t kDeferredBit = 0x80000000u;
-  static constexpr std::uint32_t kTrackedBit = 0x40000000u;
-  static constexpr std::uint32_t kNodeIdMask = kTrackedBit - 1;
-  static unsigned __int128 make_key(SimTime when, std::uint64_t seq) {
-    return (static_cast<unsigned __int128>(static_cast<std::uint64_t>(when))
-            << 64) |
-           seq;
+  using Key = unsigned __int128;
+  static Key make_key(SimTime when, std::uint64_t seq) {
+    return (static_cast<Key>(static_cast<std::uint64_t>(when)) << 64) | seq;
   }
-  static SimTime when_of(const Entry& e) {
-    return static_cast<SimTime>(static_cast<std::uint64_t>(e.key >> 64));
+  static SimTime when_of(Key key) {
+    return static_cast<SimTime>(static_cast<std::uint64_t>(key >> 64));
+  }
+
+  /// A queued node's neighbours on its bucket list (kNil at the ends).
+  struct Link {
+    std::uint32_t next;
+    std::uint32_t prev;
+  };
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+  static constexpr int kBuckets = 128;
+
+  /// Bucket of a queued key: the highest bit where it differs from
+  /// last_. Only called for keys above last_, so the xor is non-zero.
+  unsigned bucket_of(Key key) const {
+    const Key diff = key ^ last_;
+    const auto hi = static_cast<std::uint64_t>(diff >> 64);
+    return hi != 0 ? 127u - static_cast<unsigned>(__builtin_clzll(hi))
+                   : 63u - static_cast<unsigned>(__builtin_clzll(
+                               static_cast<std::uint64_t>(diff)));
   }
 
   /// Fire the next event; returns false when the queue is empty or the
   /// next event lies beyond `horizon`.
   bool step(SimTime horizon);
 
-  /// Slow path for a popped entry tagged kDeferredBit: tombstone it if
-  /// cancelled, otherwise re-push at its deferred (when, seq). Kept out
-  /// of line so step()'s fast path stays small enough to inline well.
-  void resolve_tagged(std::uint32_t tagged_node);
-
-  /// Store `e` at heap index `i`, and for tracked entries point the
-  /// node back at the slot. The back-pointers live in `slot_of_` — a
-  /// dense 4-bytes-per-node array, not the slab nodes — and untracked
-  /// entries (the vast majority) skip the store entirely: one
-  /// predicted-not-taken branch per heap move instead of an
-  /// unconditional extra store, which benchmarked ~1.5x slower on
-  /// schedule/fire-heavy workloads.
-  void put(std::size_t i, const Entry& e) {
-    heap_[i] = e;
-    if (e.node & kTrackedBit) [[unlikely]] {
-      slot_of_[e.node & kNodeIdMask] = static_cast<std::uint32_t>(i);
-    }
+  /// The minimum queued node, extracted into the top slot if it is not
+  /// there yet. The queue must be non-empty.
+  std::uint32_t top() {
+    if (top_ == kNil) refill();
+    return top_;
   }
+  /// Move the minimum of the lowest non-empty bucket into the top slot
+  /// and relink the bucket's other members against the new last_.
+  void refill();
 
-  // 4-ary min-heap: half the depth of a binary heap and the four
-  // children share cache lines, so drain-heavy workloads sift faster.
-  void sift_up(std::size_t i) {
-    const Entry value = heap_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) >> 2;
-      if (value.key >= heap_[parent].key) break;
-      put(i, heap_[parent]);
-      i = parent;
-    }
-    put(i, value);
+  /// Thread node `id` (key above last_) onto the head of its bucket.
+  void link(std::uint32_t id) {
+    const unsigned b = bucket_of(key_[id]);
+    const std::uint32_t head = head_[b];
+    links_[id] = Link{head, kNil};
+    if (head != kNil) links_[head].prev = id;
+    head_[b] = id;
+    mask_[b >> 6] |= std::uint64_t{1} << (b & 63);
   }
-  void sift_down(std::size_t i);
-  Entry pop_min();
+  /// Take queued node `id` out of the top slot or its bucket.
+  void unlink(std::uint32_t id) {
+    if (id == top_) {
+      top_ = kNil;
+      return;
+    }
+    const std::uint32_t prev = links_[id].prev;
+    const std::uint32_t next = links_[id].next;
+    if (next != kNil) links_[next].prev = prev;
+    if (prev != kNil) {
+      links_[prev].next = next;
+      return;
+    }
+    const unsigned b = bucket_of(key_[id]);
+    head_[b] = next;
+    if (next == kNil) mask_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+  }
+  /// Queue node `id` under `key`. A key at or below last_ can only come
+  /// from the non-monotone case above (or the very first push);
+  /// rebase() handles it off the hot path.
+  void enqueue(std::uint32_t id, Key key) {
+    key_[id] = key;
+    if (key <= last_) [[unlikely]] {
+      rebase(id);
+      return;
+    }
+    link(id);
+  }
+  /// Make node `id` (keyed below every queued key) the top, and move
+  /// the queued nodes whose bucket changes under its key.
+  void rebase(std::uint32_t id);
+
+  /// Slow path for a popped node flagged deferred: tombstone it if
+  /// cancelled, otherwise re-queue it at its deferred key. Kept out of
+  /// line so step()'s fast path stays small enough to inline well.
+  void resolve_deferred(std::uint32_t id);
 
   std::uint32_t push_event(SimTime when, Callback&& fn) {
     const std::uint32_t slot = acquire_node();
     node(slot).fn = std::move(fn);
-    heap_.push_back(Entry{make_key(when, next_seq_++), slot});
-    sift_up(heap_.size() - 1);
+    enqueue(slot, make_key(when, next_seq_++));
     return slot;
   }
   std::uint32_t push_event_tracked(SimTime when, Callback&& fn,
@@ -372,8 +408,7 @@ class Engine {
     // Unconditional store: a recycled node may carry a previous tenant's
     // cookie, and pop_batched_peer() must never match a stale one.
     cookie_[slot] = cookie;
-    heap_.push_back(Entry{make_key(when, next_seq_++), slot | kTrackedBit});
-    sift_up(heap_.size() - 1);
+    enqueue(slot, make_key(when, next_seq_++));
     return slot;
   }
   std::uint32_t acquire_node() {
@@ -382,7 +417,7 @@ class Engine {
       free_nodes_.pop_back();
       return slot;
     }
-    // grow_slab() is outlined: with the chunk allocation and the two
+    // grow_slab() is outlined: with the chunk allocation and the
     // side-array resizes inlined here, acquire_node() exceeds the
     // inliner's budget and turns into an out-of-line call on every
     // schedule — measurably slower than keeping this wrapper tiny.
@@ -416,11 +451,18 @@ class Engine {
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::vector<Entry> heap_;  // 4-ary min-heap ordered by (when, seq)
-  /// node id -> index of its live heap entry (valid while pending).
-  std::vector<std::uint32_t> slot_of_;
-  /// node id -> deferred re-arm key (valid while the entry is tagged).
-  std::vector<Deferred> deferred_;
+  /// Radix queue over node ids: the key of the last extracted minimum,
+  /// the extracted minimum itself (kNil when none waits), one list head
+  /// per bucket, and a bitmask of the non-empty buckets.
+  Key last_ = 0;
+  std::uint32_t top_ = kNil;
+  std::uint32_t head_[kBuckets] = {};
+  std::uint64_t mask_[2] = {0, 0};
+  /// node id -> queued key and bucket-list links (valid while queued).
+  std::vector<Key> key_;
+  std::vector<Link> links_;
+  /// node id -> deferred re-arm key (valid while the node is deferred).
+  std::vector<Key> deferred_;
   /// node id -> batch cookie, written on every tracked push (0 = none).
   std::vector<std::uint32_t> cookie_;
   std::uint32_t next_batch_domain_ = 1;
@@ -504,27 +546,20 @@ inline bool Engine::reschedule(EventHandle& handle, SimTime when) {
   // tie-break) is unchanged.
   const std::uint64_t seq = next_seq_++;
   ++stats_.reschedules;
-  const std::uint32_t slot = slot_of_[handle.slot_];
-  const SimTime armed = when_of(heap_[slot]);
-  if (when > armed) {
-    // Later than the live entry: defer lazily. step() re-arms with one
-    // push when the tagged entry surfaces at `armed`. Repeated
-    // deferrals just overwrite the side-array key.
-    deferred_[handle.slot_] = Deferred{when, seq};
-    heap_[slot].node = handle.slot_ | kTrackedBit | kDeferredBit;
+  const std::uint32_t id = handle.slot_;
+  if (when > when_of(key_[id])) {
+    // Later than the queued key: defer lazily. step() re-queues the
+    // node when its stale key surfaces. Repeated deferrals just
+    // overwrite the side-array key.
+    deferred_[id] = make_key(when, seq);
+    n.deferred = true;
     return true;
   }
-  // At or before the live entry: re-key in place (clearing any deferral
-  // tag from an earlier move). Equal-time re-arms still grow the key
-  // (fresh seq), so they sift down, never up.
-  heap_[slot].node = handle.slot_ | kTrackedBit;
-  const bool earlier = when < armed;
-  heap_[slot].key = make_key(when, seq);
-  if (earlier) {
-    sift_up(slot);
-  } else {
-    sift_down(slot);
-  }
+  // At or before the queued key: re-queue under the new key (dropping
+  // any deferral from an earlier move).
+  n.deferred = false;
+  unlink(id);
+  enqueue(id, make_key(when, seq));
   return true;
 }
 

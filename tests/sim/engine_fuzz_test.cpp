@@ -88,6 +88,9 @@ TEST_P(EngineFuzzTest, RescheduleMatchesMultimapOracle) {
   // schedule and per successful reschedule. The engine must fire
   // exactly the oracle's key order through any interleaving of
   // schedule / cancel / reschedule-earlier / reschedule-later / run.
+  // Random peek_next() calls and mid-round horizon stops leave the
+  // queue's minimum extracted but unfired, so later schedules and
+  // reschedules below it exercise the queue's rebase path.
   Rng rng(GetParam() * 1007 + 11);
   Engine engine;
   using Key = std::pair<SimTime, std::uint64_t>;
@@ -107,18 +110,31 @@ TEST_P(EngineFuzzTest, RescheduleMatchesMultimapOracle) {
     std::advance(it, rng.uniform_int(0, static_cast<int>(live.size()) - 1));
     return it->first;
   };
+  // Run the engine to `horizon`, move the oracle's events at or before
+  // it to `expected`, and report whether the fire orders still agree.
+  auto run_to = [&](SimTime horizon) {
+    engine.run(horizon);
+    while (!oracle.empty() && oracle.begin()->first.first <= horizon) {
+      const int id = oracle.begin()->second;
+      expected.push_back(id);
+      live.erase(id);
+      dead.push_back(id);
+      oracle.erase(oracle.begin());
+    }
+    return fired == expected;
+  };
 
   for (int round = 0; round < 80; ++round) {
     const int ops = static_cast<int>(rng.uniform_int(1, 40));
     for (int op = 0; op < ops; ++op) {
       const std::int64_t dice = rng.uniform_int(0, 99);
-      if (dice < 50 || live.empty()) {
+      if (dice < 45 || live.empty()) {
         const auto delay = static_cast<SimDuration>(rng.uniform_int(0, 5000));
         const int id = next_id++;
         handles[id] = engine.schedule_tracked(
             delay, [&fired, id] { fired.push_back(id); });
         live[id] = oracle.emplace(Key{engine.now() + delay, seq++}, id);
-      } else if (dice < 65) {
+      } else if (dice < 58) {
         const int id = random_live();
         handles[id].cancel();
         EXPECT_FALSE(handles[id].pending());
@@ -129,32 +145,37 @@ TEST_P(EngineFuzzTest, RescheduleMatchesMultimapOracle) {
         // A cancelled handle must refuse in-place rescheduling (and must
         // not consume a sequence number — the oracle would drift).
         EXPECT_FALSE(engine.reschedule(handles[id], engine.now() + 1));
-      } else if (dice < 90) {
+      } else if (dice < 80) {
         const int id = random_live();
         const auto when = static_cast<SimTime>(
             engine.now() + rng.uniform_int(0, 5000));
         ASSERT_TRUE(engine.reschedule(handles[id], when));
         oracle.erase(live[id]);
         live[id] = oracle.emplace(Key{when, seq++}, id);
-      } else if (!dead.empty()) {
+      } else if (dice < 86) {
+        if (dead.empty()) continue;
         // Fired or cancelled events are gone for good.
         const int id = dead[static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<int>(dead.size()) - 1))];
         EXPECT_FALSE(engine.reschedule(handles[id], engine.now() + 1));
+      } else if (dice < 93) {
+        // Cancelled and deferred entries stay queued at their old key,
+        // so the peeked instant is a lower bound on the next fire.
+        const SimTime peek = engine.peek_next();
+        EXPECT_GE(peek, engine.now());
+        if (!oracle.empty()) {
+          EXPECT_LE(peek, oracle.begin()->first.first);
+        }
+      } else {
+        const auto horizon = static_cast<SimTime>(
+            engine.now() + rng.uniform_int(0, 3000));
+        ASSERT_TRUE(run_to(horizon)) << "diverged mid-round " << round;
       }
     }
 
     const auto horizon = static_cast<SimTime>(
         engine.now() + rng.uniform_int(0, 8000));
-    engine.run(horizon);
-    while (!oracle.empty() && oracle.begin()->first.first <= horizon) {
-      const int id = oracle.begin()->second;
-      expected.push_back(id);
-      live.erase(id);
-      dead.push_back(id);
-      oracle.erase(oracle.begin());
-    }
-    ASSERT_EQ(fired, expected);
+    ASSERT_TRUE(run_to(horizon)) << "diverged after round " << round;
   }
 
   engine.run();

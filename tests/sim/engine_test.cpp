@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -292,8 +293,8 @@ TEST(EngineTest, StatsCountFiresTombstonesAndDeferrals) {
 
 TEST(EngineTest, RescheduleUntrackedPendingHandleIsInvariantViolation) {
   // reschedule() requires a handle from schedule_tracked(); a pending
-  // handle from plain schedule() has no back-pointer to move in place,
-  // so the engine must refuse loudly rather than corrupt the heap.
+  // handle from plain schedule() is a fire-once event, so the engine
+  // must refuse loudly rather than silently move it.
   Engine engine;
   EventHandle handle = engine.schedule(msec(1), [] {});
   EXPECT_THROW(engine.reschedule(handle, msec(2)), InvariantViolation);
@@ -309,6 +310,217 @@ TEST(EngineTest, RescheduleEarlierLeavesNoTombstone) {
   EXPECT_EQ(engine.stats().tombstone_pops, 0);
   EXPECT_EQ(engine.stats().deferred_rearms, 0);
   EXPECT_EQ(engine.stats().fired, 1);
+}
+
+TEST(EngineTest, BatchedDrainStopsAtDeferredAndUntrackedPeers) {
+  // pop_batched_peer() may only take an entry whose callback it can
+  // stand in for: tracked, un-deferred, same instant, same domain.
+  Engine engine;
+  const std::uint32_t domain = engine.new_batch_domain();
+  std::vector<int> order;
+  std::vector<int> drained;
+  const auto drain = [&] {
+    for (int payload = engine.pop_batched_peer(domain); payload >= 0;
+         payload = engine.pop_batched_peer(domain)) {
+      drained.push_back(payload);
+    }
+  };
+  // A recycled node keeps its previous tenant's cookie: the untracked
+  // event scheduled from this callback reuses the timer's node.
+  engine.schedule_tracked_at(usec(50), (domain << 16) | 9, [&] {
+    order.push_back(9);
+    engine.schedule_at(usec(100), [&] { order.push_back(3); });
+  });
+  engine.schedule_tracked_at(usec(100), (domain << 16) | 1, [&] {
+    order.push_back(1);
+    drain();
+  });
+  EventHandle deferred = engine.schedule_tracked_at(
+      usec(100), (domain << 16) | 2, [&] {
+        order.push_back(2);
+        drain();
+      });
+  engine.schedule_tracked_at(usec(100), (domain << 16) | 4, [&] {
+    order.push_back(4);
+    drain();
+  });
+  engine.schedule_tracked_at(usec(100), (domain << 16) | 5,
+                             [&] { order.push_back(5); });
+  EXPECT_TRUE(engine.reschedule(deferred, usec(300)));
+  engine.run();
+  // 1's drain stops at the deferred 2, still queued at usec(100). 4's
+  // drain takes 5, then stops at 3: untracked despite its stale cookie,
+  // so it fires through its own callback. 2 fires at its new deadline.
+  EXPECT_EQ(order, (std::vector<int>{9, 1, 4, 3, 2}));
+  EXPECT_EQ(drained, (std::vector<int>{5}));
+  EXPECT_EQ(engine.stats().boundaries_batched, 1);
+}
+
+// --- Cold paths of the radix queue -----------------------------------
+//
+// The queue extracts its minimum into a top slot before it fires. Three
+// ways leave that minimum extracted but unfired: run() stopping at a
+// horizon, peek_next(), and pop_batched_peer() declining. An event
+// scheduled (or rescheduled) below it afterwards must still fire first,
+// and a cancelled top must be skipped. No benchmark workload reaches
+// these paths, so each gets a deterministic order test here.
+
+/// (tag, fire time) log shared by the cold-path tests.
+struct FireLog {
+  std::vector<std::pair<int, SimTime>> fires;
+  Engine::Callback note(Engine& engine, int tag) {
+    return [this, &engine, tag] { fires.emplace_back(tag, engine.now()); };
+  }
+};
+
+using Fires = std::vector<std::pair<int, SimTime>>;
+
+/// Background events spread over several radix buckets (far apart in
+/// time, plus same-instant ties) so relinking has members to move.
+void schedule_background(Engine& engine, FireLog& log) {
+  engine.schedule_at(usec(900), log.note(engine, 90));
+  engine.schedule_at(msec(40), log.note(engine, 91));
+  engine.schedule_at(msec(40), log.note(engine, 92));
+  engine.schedule_at(sec(3), log.note(engine, 93));
+}
+
+/// What schedule_background() fires, in order.
+const Fires kBackgroundFires = {{90, usec(900)},
+                                {91, msec(40)},
+                                {92, msec(40)},
+                                {93, sec(3)}};
+
+/// `fires` followed by the background events, which fire last.
+Fires with_background(Fires fires) {
+  fires.insert(fires.end(), kBackgroundFires.begin(), kBackgroundFires.end());
+  return fires;
+}
+
+TEST(EngineColdPathTest, ScheduleBelowTopAfterHorizonStop) {
+  Engine engine;
+  FireLog log;
+  schedule_background(engine, log);
+  engine.schedule_at(usec(100), log.note(engine, 1));
+  engine.schedule_at(usec(200), log.note(engine, 2));
+  EXPECT_EQ(engine.run(usec(150)), 1);
+  EXPECT_EQ(engine.now(), usec(100));  // usec(200) waits in the top slot
+  engine.schedule_at(usec(120), log.note(engine, 3));
+  engine.schedule_at(usec(200), log.note(engine, 4));  // ties behind 2
+  engine.schedule_at(usec(180), log.note(engine, 5));
+  engine.schedule_at(usec(100), log.note(engine, 6));  // at now()
+  engine.run();
+  EXPECT_EQ(log.fires,
+            with_background({{1, usec(100)},
+                             {6, usec(100)},
+                             {3, usec(120)},
+                             {5, usec(180)},
+                             {2, usec(200)},
+                             {4, usec(200)}}));
+  EXPECT_TRUE(engine.empty());
+}
+
+TEST(EngineColdPathTest, ScheduleBelowPeekedTop) {
+  Engine engine;
+  FireLog log;
+  schedule_background(engine, log);
+  engine.schedule_at(usec(500), log.note(engine, 1));
+  EXPECT_EQ(engine.peek_next(), usec(500));
+  engine.schedule_at(usec(50), log.note(engine, 2));
+  EXPECT_EQ(engine.peek_next(), usec(50));
+  engine.schedule_at(usec(60), log.note(engine, 3));
+  engine.schedule_at(usec(40), log.note(engine, 4));
+  EXPECT_EQ(engine.peek_next(), usec(40));
+  EXPECT_EQ(engine.pending_events(), 8u);
+  engine.run();
+  EXPECT_EQ(log.fires, with_background({{4, usec(40)},
+                                        {2, usec(50)},
+                                        {3, usec(60)},
+                                        {1, usec(500)}}));
+}
+
+/// A cookied timer at usec(100) is left in the top slot by a
+/// pop_batched_peer() call that declines (it runs at usec(10), so the
+/// timer is not same-instant), then moved to `when` from the same
+/// callback. Returns the fire log.
+Fires reschedule_after_declined_batch(SimTime when) {
+  Engine engine;
+  FireLog log;
+  schedule_background(engine, log);
+  const std::uint32_t domain = engine.new_batch_domain();
+  EventHandle timer = engine.schedule_tracked_at(usec(100), (domain << 16) | 7,
+                                                 log.note(engine, 1));
+  engine.schedule_at(usec(100), log.note(engine, 2));
+  engine.schedule_at(usec(10), [&] {
+    log.fires.emplace_back(0, engine.now());
+    EXPECT_EQ(engine.pop_batched_peer(domain), -1);
+    EXPECT_EQ(engine.peek_next(), usec(100));
+    EXPECT_TRUE(engine.reschedule(timer, when));
+    engine.schedule_at(usec(100), log.note(engine, 3));
+  });
+  engine.run();
+  EXPECT_EQ(engine.stats().boundaries_batched, 0);
+  EXPECT_EQ(engine.stats().fired, 8);
+  return log.fires;
+}
+
+TEST(EngineColdPathTest, DeclinedBatchTopRescheduledEarlier) {
+  EXPECT_EQ(reschedule_after_declined_batch(usec(40)),
+            with_background({{0, usec(10)},
+                             {1, usec(40)},
+                             {2, usec(100)},
+                             {3, usec(100)}}));
+}
+
+TEST(EngineColdPathTest, DeclinedBatchTopRescheduledEqual) {
+  // Same instant, fresh sequence number: the timer drops behind 2, but
+  // stays ahead of 3, which is scheduled after the reschedule.
+  EXPECT_EQ(reschedule_after_declined_batch(usec(100)),
+            with_background({{0, usec(10)},
+                             {2, usec(100)},
+                             {1, usec(100)},
+                             {3, usec(100)}}));
+}
+
+TEST(EngineColdPathTest, DeclinedBatchTopRescheduledLater) {
+  EXPECT_EQ(reschedule_after_declined_batch(usec(300)),
+            with_background({{0, usec(10)},
+                             {2, usec(100)},
+                             {3, usec(100)},
+                             {1, usec(300)}}));
+}
+
+TEST(EngineColdPathTest, CancelledTopIsSkipped) {
+  Engine engine;
+  FireLog log;
+  schedule_background(engine, log);
+  const std::uint32_t domain = engine.new_batch_domain();
+  EventHandle peer;
+  // The first cookied timer fires through step(); its callback extracts
+  // the next peer into the top slot, cancels it, and drains: the
+  // cancelled top tombstones and the drain moves on to the third timer.
+  engine.schedule_tracked_at(usec(100), (domain << 16) | 1, [&] {
+    log.fires.emplace_back(1, engine.now());
+    EXPECT_EQ(engine.peek_next(), usec(100));
+    peer.cancel();
+    EXPECT_EQ(engine.pop_batched_peer(domain), 3);
+    EXPECT_EQ(engine.pop_batched_peer(domain), -1);
+  });
+  peer = engine.schedule_tracked_at(usec(100), (domain << 16) | 2,
+                                    log.note(engine, 2));
+  engine.schedule_tracked_at(usec(100), (domain << 16) | 3,
+                             log.note(engine, 3));
+  EventHandle top = engine.schedule_at(usec(200), log.note(engine, 4));
+  EXPECT_EQ(engine.run(usec(150)), 1);
+  // usec(200) waits in the top slot; cancel it and schedule below it.
+  top.cancel();
+  EXPECT_EQ(engine.peek_next(), usec(200));  // still queued
+  engine.schedule_at(usec(170), log.note(engine, 5));
+  EXPECT_EQ(engine.peek_next(), usec(170));
+  engine.run();
+  EXPECT_EQ(log.fires, with_background({{1, usec(100)}, {5, usec(170)}}));
+  EXPECT_EQ(engine.stats().tombstone_pops, 2);
+  EXPECT_EQ(engine.stats().boundaries_batched, 1);
+  EXPECT_EQ(engine.stats().fired, 7);
 }
 
 }  // namespace

@@ -215,18 +215,42 @@ TEST(ShardedEngineDeterminismTest, ShardRngStreamsAreStablePerShard) {
   }
 }
 
+/// Drive every EngineStats counter on `engine`, scaled by `n` so each
+/// shard's counts differ: a cookied tracked timer group drained through
+/// pop_batched_peer(), a cancelled event, a deferred and an in-place
+/// reschedule, and the quiet-core notes.
+void exercise_every_counter(Engine& engine, int n) {
+  const std::uint32_t domain = engine.new_batch_domain();
+  for (int i = 0; i < n; ++i) {
+    engine.schedule_tracked_at(usec(5), (domain << 16) | 1, [&engine, domain] {
+      while (engine.pop_batched_peer(domain) >= 0) {
+      }
+    });
+  }
+  for (int i = 0; i < 10 + n; ++i) {
+    engine.schedule_detached(usec(i), [] {});
+  }
+  engine.schedule(usec(3), [] {}).cancel();
+  EventHandle later = engine.schedule_tracked(usec(2), [] {});
+  EventHandle earlier = engine.schedule_tracked(usec(8), [] {});
+  EXPECT_TRUE(engine.reschedule(later, usec(9)));
+  EXPECT_TRUE(engine.reschedule(earlier, usec(1)));
+  engine.note_boundaries_skipped(n);
+  engine.note_quiet_window();
+}
+
 TEST(ShardedEngineStatsTest, EngineStatsFoldEqualsPerShardSum) {
   ShardedEngine sharded(config_for(3));
   for (int s = 0; s < 3; ++s) {
-    for (int i = 0; i < 10 + s; ++i) {
-      sharded.shard(s).schedule_detached(usec(i), [] {});
-    }
+    exercise_every_counter(sharded.shard(s), s + 2);
   }
   sharded.shard(0).schedule_detached(usec(1), [&sharded] {
     sharded.post(0, 2, kLookahead, [] {});
   });
   sharded.run();
 
+  // Summed field by field here, not through EngineStats::operator+=, so
+  // a counter the fold drops shows up as a mismatch.
   EngineStats manual;
   for (int s = 0; s < 3; ++s) {
     const EngineStats per = sharded.shard(s).stats();
@@ -236,14 +260,34 @@ TEST(ShardedEngineStatsTest, EngineStatsFoldEqualsPerShardSum) {
     manual.deferred_rearms += per.deferred_rearms;
     manual.reschedules += per.reschedules;
     manual.peak_heap += per.peak_heap;
+    manual.boundaries_batched += per.boundaries_batched;
+    manual.boundaries_skipped += per.boundaries_skipped;
+    manual.quiet_windows += per.quiet_windows;
   }
   const EngineStats folded = sharded.engine_stats();
   EXPECT_EQ(folded.scheduled, manual.scheduled);
   EXPECT_EQ(folded.fired, manual.fired);
+  EXPECT_EQ(folded.tombstone_pops, manual.tombstone_pops);
+  EXPECT_EQ(folded.deferred_rearms, manual.deferred_rearms);
+  EXPECT_EQ(folded.reschedules, manual.reschedules);
   EXPECT_EQ(folded.peak_heap, manual.peak_heap);
-  // 34 locally scheduled events + 1 delivered cross-post (the post
-  // itself rides the mailbox, not the source heap).
-  EXPECT_EQ(folded.fired, 35);
+  EXPECT_EQ(folded.boundaries_batched, manual.boundaries_batched);
+  EXPECT_EQ(folded.boundaries_skipped, manual.boundaries_skipped);
+  EXPECT_EQ(folded.quiet_windows, manual.quiet_windows);
+  // Per shard with n = s + 2: one timer of the cookied group fires
+  // through its callback and drains the other n - 1 batched; 10 + n
+  // detached events and the two rescheduled timers fire; the cancelled
+  // event tombstones.
+  EXPECT_EQ(folded.boundaries_batched, 1 + 2 + 3);
+  EXPECT_EQ(folded.boundaries_skipped, 2 + 3 + 4);
+  EXPECT_EQ(folded.quiet_windows, 3);
+  EXPECT_EQ(folded.tombstone_pops, 3);
+  EXPECT_EQ(folded.deferred_rearms, 3);
+  EXPECT_EQ(folded.reschedules, 6);
+  // (n + 10 + n + 2) per shard for n = 2, 3, 4, plus the posting event
+  // and the delivered cross-post (the post itself rides the mailbox,
+  // not the source queue).
+  EXPECT_EQ(folded.fired, 16 + 18 + 20 + 2);
 }
 
 TEST(ShardedEngineStatsTest, AggregateFoldMatchesSerialTotals) {
