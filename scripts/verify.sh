@@ -36,6 +36,11 @@
 #    when touching hot paths. The tier-1 stage also archives the lint
 #    report (findings + per-rule counts + scan wall time) to the
 #    gitignored LINT_latest.json.
+# 5. Run each perfbench workload once at the held-out seed 2020:
+#    pinsim_perf compares every simulated digest with
+#    perfbench/expected_digests.json and exits nonzero on a mismatch or
+#    a failed run, so a change that alters simulated behaviour fails
+#    here even where no golden test reaches.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -105,5 +110,11 @@ echo "== cluster micro smoke (BENCH_cluster_latest.json) =="
 ./build-release/bench/micro_cluster \
   --benchmark_out=BENCH_cluster_latest.json \
   --benchmark_out_format=json
+
+echo "== perfbench digest check (seed 2020, all workloads) =="
+for workload in ffmpeg_sweep web_sweep cluster_fleet; do
+  python3 perfbench/run.py --workload "$workload" --seed 2020 --seconds 1 \
+    --trace 0
+done
 
 echo "verify: OK"

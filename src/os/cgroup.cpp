@@ -182,4 +182,16 @@ hw::CpuSet placement_set(const std::string& name, const hw::CpuSet& cpus,
   return allowed;
 }
 
+void check_cgroup_owned(const std::string& name, const Cgroup* group,
+                        const std::vector<std::unique_ptr<Cgroup>>& groups) {
+  if (group == nullptr) return;
+  const bool owned =
+      std::any_of(groups.begin(), groups.end(),
+                  [group](const std::unique_ptr<Cgroup>& own) {
+                    return own.get() == group;
+                  });
+  PINSIM_CHECK_MSG(owned, "task " << name << " joins cgroup " << group->name()
+                                  << ", which this executor does not own");
+}
+
 }  // namespace pinsim::os

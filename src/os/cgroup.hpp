@@ -25,12 +25,15 @@
 // inside a VM (the VMCN platform).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "hw/cost_model.hpp"
 #include "hw/cpuset.hpp"
+#include "os/runqueue.hpp"
 #include "os/task.hpp"
 #include "util/units.hpp"
 
@@ -154,12 +157,40 @@ class Cgroup {
 hw::CpuSet placement_set(const std::string& name, const hw::CpuSet& cpus,
                          const hw::CpuSet& affinity, const Cgroup* group);
 
+/// Throws, naming the task `name` and the group, unless `group` is null
+/// or one of `groups` (the executor's own cgroups): an executor never
+/// aggregates or refills a foreign group, and steal_candidate counts
+/// only its own groups.
+void check_cgroup_owned(const std::string& name, const Cgroup* group,
+                        const std::vector<std::unique_ptr<Cgroup>>& groups);
+
 /// Whether a steal or balance pass may move queued `task` to `cpu`: the
 /// cpu is in its placement set and its group is not throttled there
 /// (moving it would only park it).
 inline bool can_migrate_to(const Task& task, hw::CpuId cpu) {
   return task.allowed.contains(cpu) &&
          (task.cgroup == nullptr || !task.cgroup->throttled_on(cpu));
+}
+
+/// The steal/balance candidate `rq` offers `cpu`: the most-serviced
+/// queued task that can_migrate_to(cpu), or nullptr. `groups` are the
+/// cgroups of the executor owning `rq`. Every grouped task on it is a
+/// member of one of them (create_task rejects foreign groups), so when
+/// the queue holds no ungrouped task and every group is throttled on
+/// `cpu`, no task qualifies and the scan is skipped — the same answer
+/// without visiting a queue of tasks parked-to-be.
+inline Task* steal_candidate(
+    const Runqueue& rq, hw::CpuId cpu,
+    const std::vector<std::unique_ptr<Cgroup>>& groups) {
+  if (rq.ungrouped() == 0 &&
+      std::all_of(groups.begin(), groups.end(),
+                  [cpu](const std::unique_ptr<Cgroup>& group) {
+                    return group->throttled_on(cpu);
+                  })) {
+    return nullptr;
+  }
+  return rq.max_where(
+      [cpu](const Task& task) { return can_migrate_to(task, cpu); });
 }
 
 }  // namespace pinsim::os

@@ -98,6 +98,7 @@ Task& Kernel::create_task(std::string name,
                           TaskConfig config) {
   stats_.tasks_reaped += tasks_.reap();
   // Checked before the task exists, so a bad config leaves no task.
+  check_cgroup_owned(name, config.cgroup, cgroups_);
   const hw::CpuSet allowed = placement_set(name, topology_->all_cpus(),
                                            config.affinity, config.cgroup);
   Task& task = tasks_.add(std::move(name), std::move(driver));

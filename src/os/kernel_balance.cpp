@@ -37,8 +37,7 @@ void Kernel::steal_for(hw::CpuId cpu) {
     if (rq.size() <= best_load) return;
     // Find the most-serviced task allowed to run here whose group is not
     // throttled (parking them here would just churn).
-    Task* found = rq.max_where(
-        [cpu](const Task& task) { return can_migrate_to(task, cpu); });
+    Task* found = steal_candidate(rq, cpu, cgroups_);
     if (found != nullptr) {
       best_load = rq.size();
       victim = other;
@@ -97,8 +96,7 @@ void Kernel::periodic_balance() {
   }
 
   auto& from_rq = rq_[static_cast<std::size_t>(busiest)];
-  Task* candidate = from_rq.max_where(
-      [idlest](const Task& task) { return can_migrate_to(task, idlest); });
+  Task* candidate = steal_candidate(from_rq, idlest, cgroups_);
   if (candidate == nullptr) return;
 
   auto& to_rq = rq_[static_cast<std::size_t>(idlest)];

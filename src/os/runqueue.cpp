@@ -43,6 +43,7 @@ void Runqueue::enqueue(Task& task) {
   PINSIM_CHECK_MSG(!contains(task),
                    "task " << task.name() << " enqueued twice");
   heap_.push_back(Slot{task.vruntime, task.id(), &task});
+  if (task.cgroup == nullptr) ++ungrouped_;
   task.rq_index = static_cast<int>(heap_.size() - 1);
   sift_up(heap_.size() - 1);
   min_vruntime_ = std::max(min_vruntime_, heap_.front().vruntime);
@@ -53,6 +54,7 @@ void Runqueue::remove(Task& task) {
                    "task " << task.name() << " not in runqueue");
   const std::size_t index = static_cast<std::size_t>(task.rq_index);
   task.rq_index = -1;
+  if (task.cgroup == nullptr) --ungrouped_;
   const Slot last = heap_.back();
   heap_.pop_back();
   if (index == heap_.size()) return;  // removed the trailing slot
@@ -78,6 +80,7 @@ Task& Runqueue::pop_min() {
   Task& task = *heap_.front().task;
   min_vruntime_ = std::max(min_vruntime_, heap_.front().vruntime);
   task.rq_index = -1;
+  if (task.cgroup == nullptr) --ungrouped_;
   const Slot last = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) {

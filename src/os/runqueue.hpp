@@ -42,6 +42,10 @@ class Runqueue {
 
   int size() const { return static_cast<int>(heap_.size()); }
   bool empty() const { return heap_.empty(); }
+  /// Queued tasks outside any cgroup. Exact because a task's cgroup is
+  /// fixed at creation and cleared only when an exited (never queued)
+  /// task is reaped, so it cannot change while the task is queued.
+  int ungrouped() const { return ungrouped_; }
 
   /// Floor for newly woken tasks so sleepers cannot monopolize the cpu
   /// with an ancient vruntime.
@@ -85,6 +89,7 @@ class Runqueue {
 
   std::vector<Slot> heap_;
   SimDuration min_vruntime_ = 0;
+  int ungrouped_ = 0;
 };
 
 }  // namespace pinsim::os

@@ -60,6 +60,7 @@ os::Task& GuestKernel::create_task(std::string name,
   stats_.tasks_reaped += tasks_.reap();
   // Affinity and cpuset are over vCPU ids. Checked before the task
   // exists, so a bad config leaves no task.
+  os::check_cgroup_owned(name, config.cgroup, cgroups_);
   const hw::CpuSet allowed = os::placement_set(
       name, hw::CpuSet::first_n(vcpus()), config.affinity, config.cgroup);
   os::Task& task = tasks_.add(std::move(name), std::move(driver));
@@ -230,9 +231,7 @@ os::Task* GuestKernel::pick_next(int vcpu) {
     if (other == vcpu) continue;
     auto& rq = vcpus_[static_cast<std::size_t>(other)].rq;
     if (rq.size() <= best_load) continue;
-    os::Task* found = rq.max_where([vcpu](const os::Task& task) {
-      return os::can_migrate_to(task, vcpu);
-    });
+    os::Task* found = os::steal_candidate(rq, vcpu, cgroups_);
     if (found != nullptr) {
       best_load = rq.size();
       victim = other;
@@ -564,9 +563,7 @@ void GuestKernel::balance_idle_vcpus() {
       if (other == vcpu) continue;
       auto& rq = vcpus_[static_cast<std::size_t>(other)].rq;
       if (rq.size() < best_load) continue;
-      os::Task* found = rq.max_where([vcpu](const os::Task& task) {
-        return os::can_migrate_to(task, vcpu);
-      });
+      os::Task* found = os::steal_candidate(rq, vcpu, cgroups_);
       if (found != nullptr) {
         best_load = rq.size() + 1;
         victim = other;
@@ -606,9 +603,7 @@ void GuestKernel::rotate_surplus_task() {
   if (busiest < 0 || idlest < 0 || max_load - min_load < 1) return;
   auto& from = vcpus_[static_cast<std::size_t>(busiest)];
   if (from.rq.empty()) return;
-  os::Task* candidate = from.rq.max_where([idlest](const os::Task& task) {
-    return os::can_migrate_to(task, idlest);
-  });
+  os::Task* candidate = os::steal_candidate(from.rq, idlest, cgroups_);
   if (candidate == nullptr) return;
   auto& to = vcpus_[static_cast<std::size_t>(idlest)];
   from.rq.remove(*candidate);

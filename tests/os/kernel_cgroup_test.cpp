@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "hw/topology.hpp"
 #include "os/kernel.hpp"
 #include "sim/engine.hpp"
+#include "util/check.hpp"
 
 namespace pinsim::os {
 namespace {
@@ -211,6 +213,34 @@ TEST(KernelCgroupTest, TaskWokenDuringThrottleParksUntilRefill) {
   EXPECT_EQ(hog.state, TaskState::Finished);
   EXPECT_EQ(sleeper.state, TaskState::Finished);
   EXPECT_GE(h.engine.now(), msec(290));
+}
+
+// A task may only join a cgroup of its own kernel: another kernel's group
+// is never aggregated or period-refilled here, and the steal scans'
+// all-throttled skip counts only this kernel's groups. create_task
+// rejects it (naming the task and the group) and leaves no half-made
+// task behind.
+TEST(KernelCgroupTest, ForeignCgroupRejectedAtCreation) {
+  Harness h(hw::Topology(1, 4, 1, 16.0));
+  Harness other(hw::Topology(1, 4, 1, 16.0));
+  Cgroup& foreign = other.kernel.create_cgroup({"other-cn", 1.0, {}});
+  TaskConfig config;
+  config.cgroup = &foreign;
+  try {
+    h.kernel.create_task("intruder", compute_once(msec(1)), config);
+    FAIL() << "create_task accepted another kernel's cgroup";
+  } catch (const InvariantViolation& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find("intruder"), std::string::npos) << message;
+    EXPECT_NE(message.find("other-cn"), std::string::npos) << message;
+  }
+  EXPECT_TRUE(h.kernel.tasks().empty());
+  EXPECT_TRUE(foreign.members().empty());
+
+  // The owning kernel accepts the same config.
+  const Task& task =
+      other.kernel.create_task("member", compute_once(msec(1)), config);
+  EXPECT_EQ(task.cgroup, &foreign);
 }
 
 }  // namespace

@@ -252,5 +252,40 @@ TEST(VmTest, GuestTaskWithNoAllowedVcpusRejectedAtCreation) {
   EXPECT_TRUE(task.allowed == hw::CpuSet::of({1}));
 }
 
+// The guest kernel rejects a cgroup it does not own too: a host-side
+// group, or another guest's, is never aggregated or refilled by this
+// guest. Nothing is made.
+TEST(VmTest, GuestForeignCgroupRejectedAtCreation) {
+  VmHarness h(CpuMode::Vanilla, "2xLarge");
+  VmHarness other(CpuMode::Vanilla, "2xLarge");
+  GuestKernel& guest = h.platform.guest();
+  const std::size_t tasks_before = guest.tasks().size();
+  os::Cgroup& host_group = h.host.kernel().create_cgroup({"host-cn", 1.0, {}});
+  os::Cgroup& other_guest_group =
+      other.platform.guest().create_cgroup({"other-guest-cn", 1.0, {}});
+  for (os::Cgroup* foreign : {&host_group, &other_guest_group}) {
+    os::TaskConfig config;
+    config.cgroup = foreign;
+    try {
+      guest.create_task("intruder", compute_once(msec(1)), config);
+      FAIL() << "guest create_task accepted foreign cgroup "
+             << foreign->name();
+    } catch (const InvariantViolation& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("intruder"), std::string::npos) << message;
+      EXPECT_NE(message.find(foreign->name()), std::string::npos) << message;
+    }
+    EXPECT_EQ(guest.tasks().size(), tasks_before);
+    EXPECT_TRUE(foreign->members().empty());
+  }
+
+  os::Cgroup& own = guest.create_cgroup({"guest-cn", 1.0, {}});
+  os::TaskConfig config;
+  config.cgroup = &own;
+  const os::Task& task =
+      guest.create_task("member", compute_once(msec(1)), config);
+  EXPECT_EQ(task.cgroup, &own);
+}
+
 }  // namespace
 }  // namespace pinsim::virt

@@ -13,14 +13,14 @@ struct Task {
 
 struct Poker {
   std::vector<Task*> heap_;
-  std::vector<unsigned> slot_of_;
+  std::vector<unsigned> links_;
   std::vector<Task*> parked_;
 
   Task* peek(const Task& t) {
     return heap_[t.rq_index];  // expect: index-safety
   }
   unsigned slot(int node) {
-    return slot_of_[node];  // expect: index-safety
+    return links_[node];  // expect: index-safety
   }
   Task* parked(Task* t) {
     return parked_[t->park_index];  // expect: index-safety

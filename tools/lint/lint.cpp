@@ -645,7 +645,7 @@ Config default_config() {
       {"rq_index", {"src/os/runqueue.cpp", "src/os/task.hpp"}},
       {"park_index", {"src/os/cgroup.cpp", "src/os/task.hpp"}},
       {"member_index", {"src/os/cgroup.cpp", "src/os/task.hpp"}},
-      {"slot_of_", {"src/sim/engine.hpp", "src/sim/engine.cpp"}},
+      {"links_", {"src/sim/engine.hpp", "src/sim/engine.cpp"}},
       {"outbox_",
        {"src/sim/sharded_engine.hpp", "src/sim/sharded_engine.cpp"}},
       {"shard_of_",

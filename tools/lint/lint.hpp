@@ -21,7 +21,7 @@
 //                 allocation order — nondeterministic across runs).
 //   index-safety  raw subscript use of the known back-pointer fields
 //                 (rq_index, park_index, member_index, the engine's
-//                 slot_of_ array)
+//                 links_ array)
 //                 outside the files that own the invariant.
 //   engine-api    bare Engine::schedule() in a file that also calls
 //                 reschedule() — persistent timers must be armed with

@@ -130,7 +130,7 @@ TEST(LintIndexSafety, FlagsRawSubscriptsOutsideOwners) {
 }
 
 TEST(LintIndexSafety, OwnerFileMayTouchItsOwnIndex) {
-  // As the rq_index owner, the park_index, slot_of_, outbox_,
+  // As the rq_index owner, the park_index, links_, outbox_,
   // shard_of_ and member_index findings remain (their owners are
   // cgroup.cpp, the engine, the sharded engine, the fleet, and
   // cgroup.cpp respectively).
