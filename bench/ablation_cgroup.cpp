@@ -30,13 +30,14 @@ double mean_metric(virt::CpuMode mode, const hw::CostModel& costs,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace pinsim;
+  bench::reject_arguments(argc, argv);
+  const int reps = bench::repetitions_or(3);
   bench::Stopwatch stopwatch;
   core::print_header(std::cout, "Ablation A1",
                      "cgroup aggregation cost vs container overhead");
 
-  const int reps = bench::repetitions_or(3);
   stats::TextTable table({"aggregate cost/core (us)", "vanilla CN (s)",
                           "pinned CN (s)", "vanilla/pinned"});
   for (const int per_core_us : {0, 2, 4, 8, 16}) {

@@ -28,14 +28,15 @@ double mean_metric(virt::CpuMode mode, const hw::CostModel& costs,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace pinsim;
+  bench::reject_arguments(argc, argv);
+  const int reps = bench::repetitions_or(3);
   bench::Stopwatch stopwatch;
   core::print_header(
       std::cout, "Ablation A2",
       "cache-refill / NUMA locality vs container overhead (FFmpeg, Large)");
 
-  const int reps = bench::repetitions_or(3);
   stats::TextTable table({"cross-socket refill (us/MB)", "numa tax",
                           "vanilla CN (s)", "pinned CN (s)",
                           "vanilla/pinned"});

@@ -28,13 +28,14 @@ double mean_metric(virt::PlatformKind kind, workload::Workload& workload,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace pinsim;
+  bench::reject_arguments(argc, argv);
+  const int reps = bench::repetitions_or(3);
   bench::Stopwatch stopwatch;
   core::print_header(std::cout, "Ablation A3",
                      "hypervisor constants vs VM overhead (xLarge)");
 
-  const int reps = bench::repetitions_or(3);
   stats::TextTable table({"inflation", "vmexit (us)",
                           "ffmpeg VM/BM", "cassandra VM/BM"});
   struct Point {

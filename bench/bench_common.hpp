@@ -8,18 +8,19 @@
 // Common CLI (parse with bench::parse_cli):
 //   --jobs N    fan the sweep across N worker threads (default: 1, or
 //               PINSIM_JOBS). Results are bit-identical to --jobs 1.
-//   --shards N  event shards per repetition (default: 1, or PINSIM_SHARDS).
-//               --shards 1 is byte-identical to the historical output;
-//               N > 1 is deterministic but window-rounded (see
-//               core::ExperimentConfig::shards)
 //   --reps N    override the paper's repetition count (same as PINSIM_REPS)
 //   --json P    also write machine-readable results + timing to file P
 //   --stats     print aggregated sim::Engine counters (events fired,
 //               tombstone pops, deferred re-arms, peak heap) after the run;
 //               scenario_cluster also prints each cell's host- and
 //               guest-kernel counters (os::KernelStats, virt::GuestStats)
+// Every N must be a whole number >= 1, on the command line and in the
+// environment; anything else exits 2 naming the flag or variable.
+// scenario_cluster adds its own --shards N (see there). The benches
+// without a sweep to fan out take no arguments (reject_arguments).
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -28,6 +29,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -40,26 +42,40 @@ namespace pinsim::bench {
 
 struct BenchOptions {
   int jobs = 1;
-  int shards = 1;  // event shards per repetition (PINSIM_SHARDS)
-  int reps_override = 0;  // 0 = keep the paper protocol / PINSIM_REPS
+  int reps_override = 0;  // --reps, else PINSIM_REPS; 0 = paper protocol
   std::string json_path;  // empty = no JSON output
   bool engine_stats = false;  // print aggregated engine counters at exit
 };
 
-inline int env_int_or(const char* name, int fallback) {
-  if (const char* env = std::getenv(name)) {
-    const int value = std::atoi(env);
-    if (value >= 1) return value;
+/// `text` as a whole decimal integer >= 1; exits 2 naming `name` (a
+/// flag or an environment variable) for anything else — empty, signed,
+/// trailing characters, zero, or out of range.
+inline int positive_or_exit(const char* name, const char* text) {
+  const char* end = text + std::strlen(text);
+  int value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < 1) {
+    std::cerr << name << " must be >= 1 (got '" << text << "')\n";
+    std::exit(2);
   }
-  return fallback;
+  return value;
+}
+
+inline int env_int_or(const char* name, int fallback) {
+  const char* env = std::getenv(name);
+  return env == nullptr ? fallback : positive_or_exit(name, env);
 }
 
 /// Parse the common bench flags; exits with a usage message on errors so
-/// every bench binary behaves the same.
-inline BenchOptions parse_cli(int argc, char** argv) {
+/// every bench binary behaves the same. A binary with one flag of its
+/// own passes its name as `own_flag`; its value, parsed like --jobs,
+/// lands in `*own_value`.
+inline BenchOptions parse_cli(int argc, char** argv,
+                              const char* own_flag = nullptr,
+                              int* own_value = nullptr) {
   BenchOptions options;
   options.jobs = env_int_or("PINSIM_JOBS", 1);
-  options.shards = env_int_or("PINSIM_SHARDS", 1);
+  options.reps_override = env_int_or("PINSIM_REPS", 0);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&](const char* flag) -> const char* {
@@ -70,49 +86,47 @@ inline BenchOptions parse_cli(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--jobs" || arg == "-j") {
-      options.jobs = std::atoi(value("--jobs"));
-    } else if (arg == "--shards") {
-      options.shards = std::atoi(value("--shards"));
+      options.jobs = positive_or_exit("--jobs", value("--jobs"));
     } else if (arg == "--reps") {
-      options.reps_override = std::atoi(value("--reps"));
+      options.reps_override = positive_or_exit("--reps", value("--reps"));
+    } else if (own_flag != nullptr && arg == own_flag) {
+      *own_value = positive_or_exit(own_flag, value(own_flag));
     } else if (arg == "--json") {
       options.json_path = value("--json");
     } else if (arg == "--stats") {
       options.engine_stats = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0]
-                << " [--jobs N] [--shards N] [--reps N] [--json PATH] "
-                   "[--stats]\n";
+      std::cout << "usage: " << argv[0] << " [--jobs N]";
+      if (own_flag != nullptr) std::cout << " [" << own_flag << " N]";
+      std::cout << " [--reps N] [--json PATH] [--stats]\n";
       std::exit(0);
     } else {
       std::cerr << "unknown argument: " << arg << "\n";
       std::exit(2);
     }
   }
-  if (options.jobs < 1) {
-    std::cerr << "--jobs must be >= 1\n";
-    std::exit(2);
-  }
-  if (options.shards < 1) {
-    std::cerr << "--shards must be >= 1\n";
-    std::exit(2);
-  }
-  if (options.reps_override < 0) {
-    std::cerr << "--reps must be >= 1\n";
-    std::exit(2);
-  }
   return options;
 }
 
+/// For the benches that take no flags: any argument prints the usage
+/// line and exits 2, instead of being silently ignored.
+inline void reject_arguments(int argc, char** argv) {
+  if (argc <= 1) return;
+  std::cerr << "unknown argument: " << argv[1] << "\nusage: " << argv[0]
+            << " (takes no arguments)\n";
+  std::exit(2);
+}
+
+/// PINSIM_REPS, else the paper's count (the benches without parse_cli).
 inline int repetitions_or(int paper_default) {
   return env_int_or("PINSIM_REPS", paper_default);
 }
 
 inline core::ExperimentRunner make_runner(int paper_reps,
-                                          const BenchOptions& options = {}) {
+                                          const BenchOptions& options) {
   core::ExperimentConfig config;
-  config.repetitions = options.reps_override > 0 ? options.reps_override
-                                                 : repetitions_or(paper_reps);
+  config.repetitions =
+      options.reps_override > 0 ? options.reps_override : paper_reps;
   if (config.repetitions != paper_reps) {
     std::cout << "[note] repetition override: " << config.repetitions
               << " repetitions (paper protocol: " << paper_reps << ")\n";
@@ -120,13 +134,6 @@ inline core::ExperimentRunner make_runner(int paper_reps,
   if (options.jobs > 1) {
     std::cout << "[note] sweeping with " << options.jobs
               << " worker threads (results identical to --jobs 1)\n";
-  }
-  config.shards = options.shards;
-  if (options.shards > 1) {
-    std::cout << "[note] --shards " << options.shards
-              << ": repetitions run under the sharded round loop "
-                 "(deterministic; wall-clock metrics round to window "
-                 "boundaries — see ExperimentConfig::shards)\n";
   }
   return core::ExperimentRunner(config);
 }
@@ -167,7 +174,6 @@ inline void maybe_write_json(const BenchOptions& options,
   meta.artifact = artifact;
   meta.repetitions = repetitions;
   meta.jobs = options.jobs;
-  meta.shards = options.shards;
   meta.wall_seconds = wall_seconds;
   core::write_bench_json(out, meta, figures);
   std::cout << "json written to " << options.json_path << "\n";

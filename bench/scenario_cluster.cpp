@@ -21,6 +21,10 @@
 // Output is derived exclusively from per-request latency records, so
 // stdout is byte-identical for any --jobs and --shards value (wall
 // time and parallelism notes go to stderr).
+//
+// --shards N is this binary's own flag: each fleet's hosts spread over
+// N event shards advanced by N threads (cluster::FleetConfig::shards
+// and ::threads). The default, 1, runs each fleet on one engine.
 #include <future>
 #include <sstream>
 #include <vector>
@@ -40,11 +44,11 @@ struct Cell {
   cluster::FleetConfig config;
 };
 
-cluster::FleetConfig wordpress_base(const bench::BenchOptions& options) {
+cluster::FleetConfig wordpress_base(int shards) {
   cluster::FleetConfig config;
   config.hosts = 50;
-  config.shards = options.shards;
-  config.threads = options.shards;
+  config.shards = shards;
+  config.threads = shards;
   config.app = workload::AppClass::IoWeb;
   config.arrivals.kind = cluster::ArrivalKind::Diurnal;
   // 10M daily users at ~20 page views each; the peak hour runs the
@@ -60,11 +64,11 @@ cluster::FleetConfig wordpress_base(const bench::BenchOptions& options) {
   return config;
 }
 
-cluster::FleetConfig cassandra_base(const bench::BenchOptions& options) {
+cluster::FleetConfig cassandra_base(int shards) {
   cluster::FleetConfig config;
   config.hosts = 10;
-  config.shards = options.shards;
-  config.threads = options.shards;
+  config.shards = shards;
+  config.threads = shards;
   config.app = workload::AppClass::IoNoSql;
   config.cassandra.server_threads = 8;
   config.arrivals.kind = cluster::ArrivalKind::Burst;
@@ -199,14 +203,15 @@ stats::Figure measure(const std::string& title, const std::vector<Cell>& cells,
 
 int main(int argc, char** argv) {
   using namespace pinsim;
-  const bench::BenchOptions options = bench::parse_cli(argc, argv);
+  int shards = 1;
+  const bench::BenchOptions options =
+      bench::parse_cli(argc, argv, "--shards", &shards);
   bench::Stopwatch stopwatch;
   core::print_header(std::cout, "Cluster",
                      "50-host serving fleet: open-loop traffic, tail-latency "
                      "SLOs, CHR-aware autoscaling");
 
-  const int reps = options.reps_override > 0 ? options.reps_override
-                                             : bench::repetitions_or(3);
+  const int reps = options.reps_override > 0 ? options.reps_override : 3;
   if (options.jobs > 1) {
     std::cerr << "[note] sweeping with " << options.jobs
               << " worker threads (results identical to --jobs 1)\n";
@@ -214,7 +219,7 @@ int main(int argc, char** argv) {
   util::ThreadPool pool(options.jobs);
 
   std::vector<Cell> wordpress_cells;
-  make_cells(wordpress_base(options), 10, 4, wordpress_cells);
+  make_cells(wordpress_base(shards), 10, 4, wordpress_cells);
   std::cout << "\nWordPress fleet (50 hosts, compressed diurnal day, "
             << reps << " reps):\n";
   const stats::Figure wordpress =
@@ -222,7 +227,7 @@ int main(int argc, char** argv) {
               wordpress_cells, reps, options.engine_stats, pool);
 
   std::vector<Cell> cassandra_cells;
-  make_cells(cassandra_base(options), 4, 3, cassandra_cells);
+  make_cells(cassandra_base(shards), 4, 3, cassandra_cells);
   std::cout << "\nCassandra fleet (10 hosts, flash-crowd bursts, " << reps
             << " reps):\n";
   const stats::Figure cassandra =

@@ -5,8 +5,9 @@
 #include "bench_common.hpp"
 #include "workload/profiles.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace pinsim;
+  bench::reject_arguments(argc, argv);
   bench::Stopwatch stopwatch;
   core::print_header(std::cout, "Table I",
                      "Application types and measured characterization");

@@ -6,8 +6,9 @@
 #include "virt/container.hpp"
 #include "virt/vm.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace pinsim;
+  bench::reject_arguments(argc, argv);
   bench::Stopwatch stopwatch;
   core::print_header(std::cout, "Table II",
                      "Instance types used for evaluation");

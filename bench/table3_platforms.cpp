@@ -5,8 +5,10 @@
 #include "bench_common.hpp"
 #include "workload/ffmpeg.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace pinsim;
+  bench::reject_arguments(argc, argv);
+  const int reps = bench::repetitions_or(5);
   bench::Stopwatch stopwatch;
   core::print_header(std::cout, "Table III",
                      "Execution platforms and their layer costs");
@@ -31,7 +33,6 @@ int main() {
   };
 
   const auto& instance = virt::instance_by_name("xLarge");
-  const int reps = bench::repetitions_or(5);
 
   double bm_mean = 0.0;
   stats::TextTable table(

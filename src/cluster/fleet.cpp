@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/chr_advisor.hpp"
-#include "core/sharded_fleet.hpp"
 #include "util/check.hpp"
 #include "virt/platform.hpp"
 #include "virt/vm.hpp"
@@ -23,6 +22,43 @@ std::unique_ptr<workload::RequestSource> make_source(const FleetConfig& config,
     return workload::make_wordpress_source(platform, config.wordpress, rng);
   }
   return workload::make_cassandra_source(platform, config.cassandra, rng);
+}
+
+/// Hosts, platforms and serving sources of one fleet, host h on its
+/// shard's engine. Sources are declared last so they are destroyed
+/// before the platforms they serve.
+struct FleetHosts {
+  std::vector<std::unique_ptr<virt::Host>> hosts;
+  std::vector<std::unique_ptr<virt::Platform>> platforms;
+  std::vector<std::unique_ptr<workload::RequestSource>> sources;
+};
+
+/// Build host h on shard `host_shard[h]` running `specs[h]`, with the
+/// experiment runner's per-repetition seed spacing, so host h matches
+/// repetition h of a solo run of the same spec. Each host's source is
+/// deployed right after its platform is built: construction stays
+/// interleaved, so host h's initial kernel events and the source's keep
+/// their relative order no matter which hosts share a shard.
+FleetHosts build_fleet_hosts(const FleetConfig& config,
+                             sim::ShardedEngine& sharded,
+                             const std::vector<int>& host_shard,
+                             const std::vector<virt::PlatformSpec>& specs) {
+  FleetHosts out;
+  out.hosts.reserve(specs.size());
+  out.platforms.reserve(specs.size());
+  out.sources.reserve(specs.size());
+  for (std::size_t h = 0; h < specs.size(); ++h) {
+    const std::uint64_t seed =
+        config.base_seed + 1000003ull * static_cast<std::uint64_t>(h);
+    out.hosts.push_back(std::make_unique<virt::Host>(
+        sharded.shard(host_shard[h]),
+        virt::host_topology_for(specs[h], config.full_host), config.costs,
+        seed));
+    out.platforms.push_back(virt::make_platform(*out.hosts.back(), specs[h]));
+    out.sources.push_back(make_source(config, *out.platforms.back(),
+                                      Rng(seed ^ 0x517cc1b727220a95ull)));
+  }
+  return out;
 }
 
 }  // namespace
@@ -47,6 +83,9 @@ Fleet::Fleet(FleetConfig config) : config_(std::move(config)) {
   PINSIM_CHECK_MSG(config_.traffic_seconds > 0.0,
                    "traffic window must be positive");
   PINSIM_CHECK_MSG(config_.drain_seconds > 0.0, "drain window must be positive");
+  PINSIM_CHECK_MSG(config_.dispatch_latency > 0,
+                   "dispatch latency must be positive (got "
+                       << config_.dispatch_latency << ")");
   PINSIM_CHECK_MSG(config_.app == workload::AppClass::IoWeb ||
                        config_.app == workload::AppClass::IoNoSql,
                    "the serving layer models the paper's request-serving "
@@ -106,26 +145,14 @@ int Fleet::initial_active() const {
 
 ClusterResult Fleet::run() {
   const int n = config_.hosts;
-  const SimDuration lookahead = config_.costs.min_cross_shard_latency();
-  PINSIM_CHECK_MSG(config_.dispatch_latency >= lookahead,
-                   "dispatch latency " << config_.dispatch_latency
-                                       << " below the cross-shard lookahead "
-                                       << lookahead);
+  // Every cross-shard post below rides one dispatch leg, so a round may
+  // advance every shard that far past the earliest pending event.
+  sim::ShardedEngine sharded(sim::ShardedEngineConfig{
+      config_.shards, config_.dispatch_latency, config_.threads});
 
-  sim::ShardedEngine sharded(
-      sim::ShardedEngineConfig{config_.shards, lookahead, config_.threads});
-  sharded.seed_rngs(Rng(config_.base_seed));
-
-  // Hosts + serving sources, built through the shared fleet builder so
-  // seeds and construction interleaving match ShardedFleet.
   const std::vector<virt::PlatformSpec> specs = resolved_specs();
-  std::vector<std::unique_ptr<workload::RequestSource>> sources;
-  sources.reserve(static_cast<std::size_t>(n));
-  const core::FleetHosts built = core::build_fleet_hosts(
-      sharded, host_shard_, specs, config_.full_host, config_.costs,
-      config_.base_seed, [this, &sources](int, virt::Platform& platform, Rng rng) {
-        sources.push_back(make_source(config_, platform, rng));
-      });
+  const FleetHosts built =
+      build_fleet_hosts(config_, sharded, host_shard_, specs);
 
   // Front-end state. Everything below is touched only from shard-0
   // events, so it needs no locks and behaves identically for every
@@ -164,7 +191,7 @@ ClusterResult Fleet::run() {
     balancer.add_outstanding(host, +1);
 
     workload::RequestSource* source =
-        sources[static_cast<std::size_t>(host)].get();
+        built.sources[static_cast<std::size_t>(host)].get();
     sim::ShardedEngine* net = &sharded;
     sim::Engine* front_engine = &front;
     ClusterResult* result = &out;
@@ -301,7 +328,7 @@ ClusterResult Fleet::run() {
     report.chr = chr[i];
     report.chr_in_range = balancer.chr_in_range(h);
     report.dispatched = dispatched_per_host[i];
-    report.served = sources[i]->served();
+    report.served = built.sources[i]->served();
     out.hosts.push_back(std::move(report));
     out.kernel_stats += built.hosts[i]->kernel().stats();
     if (auto* vm = dynamic_cast<virt::VmPlatform*>(built.platforms[i].get())) {

@@ -102,16 +102,6 @@ struct CostModel {
   SimDuration container_net_msg = usec(10);
 
   CostModel() = default;
-
-  /// Conservative lookahead for the sharded engine: the smallest delay
-  /// any cross-domain interaction the model prices can take (task
-  /// migration refill, IPC delivery, a vmexit, a virtio round trip).
-  /// Events that cross event-shard boundaries always ride one of those
-  /// mechanisms, so a sharded round may advance every shard this far
-  /// past the global minimum without reordering anything (DESIGN.md §7).
-  /// Never below 1 simulated ns — a zero lookahead would make the
-  /// conservative window empty.
-  SimDuration min_cross_shard_latency() const;
 };
 
 }  // namespace pinsim::hw

@@ -142,14 +142,6 @@ class Kernel {
   const hw::CostModel& costs() const { return *costs_; }
   const std::string& name() const { return name_; }
 
-  /// Event shard this kernel's machine lives on (0 in a solo-engine
-  /// run). The kernel itself never crosses shards — its engine IS the
-  /// shard's engine — but the id lets cross-machine plumbing
-  /// (core::ShardedFleet heartbeats, future cluster workloads) route
-  /// mailbox traffic to the right destination shard.
-  int shard() const { return shard_; }
-  void bind_shard(int shard) { shard_ = shard; }
-
   int live_tasks() const { return live_tasks_; }
   bool idle_cpu(hw::CpuId cpu) const;
   const KernelStats& stats() const { return stats_; }
@@ -259,7 +251,6 @@ class Kernel {
   Rng rng_;
   SchedParams params_;
   std::string name_;
-  int shard_ = 0;
 
   // Struct-of-arrays per-core scheduler state, indexed by cpu id. The
   // boundary sweep and the charge path walk one field across cores, so

@@ -19,8 +19,6 @@ GuestKernel::GuestKernel(Host& host, Config config)
   PINSIM_CHECK(config.burst_cap > 0);
 }
 
-int GuestKernel::shard() const { return host_->shard(); }
-
 GuestStats& operator+=(GuestStats& into, const GuestStats& from) {
   into.dispatches += from.dispatches;
   into.guest_migrations += from.guest_migrations;

@@ -102,9 +102,6 @@ class GuestKernel {
 
   int vcpus() const { return static_cast<int>(vcpus_.size()); }
   int live_tasks() const { return live_tasks_; }
-  /// Event shard of the host machine this guest runs inside. A guest
-  /// never spans shards — all its vCPU tasks live on its host.
-  int shard() const;
   const GuestStats& stats() const { return stats_; }
   /// Same joinable/detached contract as os::Kernel::tasks(): joinable
   /// guest tasks stay until the guest is destroyed; a detached one is

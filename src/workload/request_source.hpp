@@ -24,9 +24,10 @@
 //
 // Determinism: a source derives each request's service randomness by
 // forking its own Rng at inject() time. Injections reach a host in a
-// deterministic order (the fleet posts them through the sharded
+// deterministic order (cluster::Fleet posts them through the sharded
 // engine's canonical mailbox merge), so a (config, seed) pair replays
-// the same per-request service times for any thread or shard count.
+// the same per-request service times for any fleet thread or shard
+// count.
 #pragma once
 
 #include <cstdint>

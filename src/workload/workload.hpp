@@ -30,12 +30,9 @@ class Completion;
 
 /// A workload deployed onto a platform but not yet driven to
 /// completion. Workload::run owns its whole lifecycle (deploy, drive
-/// the engine, collect); the sharded fleet runner instead needs the
-/// phases apart — deploy one workload per host, advance every host
-/// together under one sim::ShardedEngine, then collect each host's
-/// result — so workloads that participate split run() into
-/// deploy() + run_to_completion + collect() with this object carrying
-/// the state between the phases.
+/// the engine, collect); a caller that times the phases apart (the
+/// perfbench sweeps) instead calls deploy() + run_to_completion +
+/// collect(), with this object carrying the state between the phases.
 class Deployment {
  public:
   virtual ~Deployment() = default;
@@ -61,9 +58,9 @@ class Workload {
   /// safety horizon (a wedged simulation must not pass silently).
   virtual RunResult run(virt::Platform& platform, Rng rng) = 0;
 
-  /// Deploy without driving the engine (for co-simulation under a
-  /// sharded fleet). Returns nullptr when the workload does not support
-  /// the split lifecycle; for workloads that do,
+  /// Deploy without driving the engine (for callers that drive and
+  /// time the phases themselves). Returns nullptr when the workload
+  /// does not support the split lifecycle; for workloads that do,
   /// run() == deploy() + run_to_completion + collect() event for event.
   virtual std::unique_ptr<Deployment> deploy(virt::Platform& platform,
                                              Rng rng) {

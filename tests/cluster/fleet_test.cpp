@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/chr_advisor.hpp"
 #include "util/check.hpp"
 #include "util/units.hpp"
@@ -93,6 +95,32 @@ TEST(ClusterFleetTest, ShardCountDoesNotChangeTheTrace) {
   expect_identical(serial, run_cluster(small_fleet(4, 4, 2)));
 }
 
+TEST(ClusterFleetTest, RoundsBoundedByDispatchLatency) {
+  // Every cross-shard post rides one dispatch leg, so the leg is the
+  // sharded engine's lookahead: each round's window starts at or after
+  // the previous one's end and spans a full leg, so a run that ends
+  // with the last completion notice fits in last / leg + 1 rounds.
+  FleetConfig config = small_fleet(4, 1, 1);
+  config.arrivals.rate_per_second = 400.0;
+  config.traffic_seconds = 1.0;
+  config.drain_seconds = 30.0;
+  const ClusterResult serial = run_cluster(config);
+  SimTime last = 0;
+  for (const RequestRecord& record : serial.trace) {
+    last = std::max(last, record.arrival + record.latency);
+  }
+  ASSERT_GT(last, 0);
+  for (const int shards : {2, 4}) {
+    config.shards = shards;
+    const ClusterResult sharded = run_cluster(config);
+    expect_identical(serial, sharded);
+    EXPECT_GT(sharded.shard_stats.rounds, 0) << "shards " << shards;
+    EXPECT_LE(sharded.shard_stats.rounds,
+              last / config.dispatch_latency + 1)
+        << "shards " << shards;
+  }
+}
+
 TEST(ClusterFleetTest, CassandraFleetServesToCompletion) {
   FleetConfig config = small_fleet(3, 3, 2);
   config.app = workload::AppClass::IoNoSql;
@@ -174,6 +202,19 @@ TEST(ClusterFleetTest, FoldsKernelCountersAcrossHosts) {
   EXPECT_GT(cassandra.kernel_stats.wakeups, 0);
   EXPECT_EQ(cassandra.kernel_stats.tasks_reaped, 0);
   EXPECT_EQ(cassandra.guest_stats.tasks_reaped, 0);
+}
+
+TEST(ClusterFleetTest, RejectsNonPositiveDispatchLatency) {
+  // Checked at construction for every shard count: a one-shard fleet
+  // never reads the lookahead, so a zero leg must not slip through.
+  for (const int shards : {1, 2}) {
+    for (const SimDuration latency : {SimDuration{0}, -usec(200)}) {
+      FleetConfig config = small_fleet(2, shards, 1);
+      config.dispatch_latency = latency;
+      EXPECT_THROW(Fleet{config}, InvariantViolation)
+          << "shards " << shards << ", latency " << latency;
+    }
+  }
 }
 
 TEST(ClusterFleetTest, RejectsNonServingAppClasses) {

@@ -205,16 +205,6 @@ TEST(ShardedEngineDeterminismTest, ThreadCountDoesNotChangeResults) {
   EXPECT_EQ(fired1, fired0);
 }
 
-TEST(ShardedEngineDeterminismTest, ShardRngStreamsAreStablePerShard) {
-  ShardedEngine a(config_for(4));
-  ShardedEngine b(config_for(4));
-  a.seed_rngs(Rng(123));
-  b.seed_rngs(Rng(123));
-  for (int s = 0; s < 4; ++s) {
-    EXPECT_EQ(a.rng(s).next_u64(), b.rng(s).next_u64()) << "shard " << s;
-  }
-}
-
 /// Drive every EngineStats counter on `engine`, scaled by `n` so each
 /// shard's counts differ: a cookied tracked timer group drained through
 /// pop_batched_peer(), a cancelled event, a deferred and an in-place

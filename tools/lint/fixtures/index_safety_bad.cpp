@@ -28,16 +28,16 @@ struct Poker {
 };
 
 // The sharded-engine mailbox rows and the fleet's host->shard map are
-// guarded the same way (owners: sharded_engine.*, sharded_fleet.*).
+// guarded the same way (owners: sharded_engine.*, cluster/fleet.*).
 struct ShardPoker {
   std::vector<int> outbox_;
-  std::vector<int> shard_of_;
+  std::vector<int> host_shard_;
 
   int box(int src) {
     return outbox_[src];  // expect: index-safety
   }
   int home(int host) {
-    return shard_of_[host];  // expect: index-safety
+    return host_shard_[host];  // expect: index-safety
   }
 };
 

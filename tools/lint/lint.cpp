@@ -648,8 +648,7 @@ Config default_config() {
       {"links_", {"src/sim/engine.hpp", "src/sim/engine.cpp"}},
       {"outbox_",
        {"src/sim/sharded_engine.hpp", "src/sim/sharded_engine.cpp"}},
-      {"shard_of_",
-       {"src/core/sharded_fleet.hpp", "src/core/sharded_fleet.cpp"}},
+      {"host_shard_", {"src/cluster/fleet.hpp", "src/cluster/fleet.cpp"}},
       {"boundary_", {"src/os/kernel.cpp", "src/os/kernel.hpp"}},
   };
   config.guarded_timers = {

@@ -131,7 +131,7 @@ TEST(LintIndexSafety, FlagsRawSubscriptsOutsideOwners) {
 
 TEST(LintIndexSafety, OwnerFileMayTouchItsOwnIndex) {
   // As the rq_index owner, the park_index, links_, outbox_,
-  // shard_of_ and member_index findings remain (their owners are
+  // host_shard_ and member_index findings remain (their owners are
   // cgroup.cpp, the engine, the sharded engine, the fleet, and
   // cgroup.cpp respectively).
   expect_exactly("index_safety_bad.cpp", "src/os/runqueue.cpp",
@@ -150,7 +150,7 @@ TEST(LintIndexSafety, OwnerFileMayTouchItsOwnIndex) {
 }
 
 TEST(LintIndexSafety, ShardedOwnersMayTouchTheirOwnIndexes) {
-  // The sharded engine owns outbox_; shard_of_ still flags there (its
+  // The sharded engine owns outbox_; host_shard_ still flags there (its
   // owner is the fleet), and vice versa.
   expect_exactly("index_safety_bad.cpp", "src/sim/sharded_engine.cpp",
                  {{"index-safety", 20},
@@ -158,7 +158,7 @@ TEST(LintIndexSafety, ShardedOwnersMayTouchTheirOwnIndexes) {
                   {"index-safety", 26},
                   {"index-safety", 40},
                   {"index-safety", 54}});
-  expect_exactly("index_safety_bad.cpp", "src/core/sharded_fleet.cpp",
+  expect_exactly("index_safety_bad.cpp", "src/cluster/fleet.cpp",
                  {{"index-safety", 20},
                   {"index-safety", 23},
                   {"index-safety", 26},
