@@ -16,8 +16,8 @@
 //               guest-kernel counters (os::KernelStats, virt::GuestStats)
 // Every N must be a whole number >= 1, on the command line and in the
 // environment; anything else exits 2 naming the flag or variable.
-// scenario_cluster adds its own --shards N (see there). The benches
-// without a sweep to fan out take no arguments (reject_arguments).
+// The benches without a sweep to fan out take no arguments
+// (reject_arguments).
 #pragma once
 
 #include <charconv>
@@ -67,12 +67,8 @@ inline int env_int_or(const char* name, int fallback) {
 }
 
 /// Parse the common bench flags; exits with a usage message on errors so
-/// every bench binary behaves the same. A binary with one flag of its
-/// own passes its name as `own_flag`; its value, parsed like --jobs,
-/// lands in `*own_value`.
-inline BenchOptions parse_cli(int argc, char** argv,
-                              const char* own_flag = nullptr,
-                              int* own_value = nullptr) {
+/// every bench binary behaves the same.
+inline BenchOptions parse_cli(int argc, char** argv) {
   BenchOptions options;
   options.jobs = env_int_or("PINSIM_JOBS", 1);
   options.reps_override = env_int_or("PINSIM_REPS", 0);
@@ -89,16 +85,13 @@ inline BenchOptions parse_cli(int argc, char** argv,
       options.jobs = positive_or_exit("--jobs", value("--jobs"));
     } else if (arg == "--reps") {
       options.reps_override = positive_or_exit("--reps", value("--reps"));
-    } else if (own_flag != nullptr && arg == own_flag) {
-      *own_value = positive_or_exit(own_flag, value(own_flag));
     } else if (arg == "--json") {
       options.json_path = value("--json");
     } else if (arg == "--stats") {
       options.engine_stats = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: " << argv[0] << " [--jobs N]";
-      if (own_flag != nullptr) std::cout << " [" << own_flag << " N]";
-      std::cout << " [--reps N] [--json PATH] [--stats]\n";
+      std::cout << "usage: " << argv[0]
+                << " [--jobs N] [--reps N] [--json PATH] [--stats]\n";
       std::exit(0);
     } else {
       std::cerr << "unknown argument: " << arg << "\n";

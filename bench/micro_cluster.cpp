@@ -102,8 +102,6 @@ BENCHMARK(BM_SloRecord);
 void BM_ClusterFleet(benchmark::State& state) {
   cluster::FleetConfig config;
   config.hosts = 4;
-  config.shards = static_cast<int>(state.range(0));
-  config.threads = 1;
   config.arrivals.rate_per_second = 100.0;
   config.traffic_seconds = 1.0;
   config.drain_seconds = 60.0;
@@ -117,7 +115,7 @@ void BM_ClusterFleet(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(requests),
                          benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ClusterFleet)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ClusterFleet)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -9,6 +9,8 @@
 #include <atomic>
 #include <future>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "os/kernel.hpp"
@@ -182,8 +184,12 @@ void BM_SchedulerComputeSliceCycle(benchmark::State& state) {
     os::Kernel kernel(engine, topo, costs, Rng(1));
     for (int i = 0; i < 2 * cpus; ++i) {
       auto done = std::make_shared<bool>(false);
+      // += rather than "t" + std::to_string(i): GCC 12 at -O3 reports a
+      // false -Wrestrict on the inlined operator+.
+      std::string name = "t";
+      name += std::to_string(i);
       os::Task& task = kernel.create_task(
-          "t" + std::to_string(i),
+          std::move(name),
           std::make_unique<os::LambdaDriver>([done](os::Task&) {
             if (*done) return os::Action::exit();
             *done = true;

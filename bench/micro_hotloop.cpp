@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "hw/topology.hpp"
 #include "os/kernel.hpp"
@@ -127,8 +128,14 @@ void BM_BoundarySweepAligned(benchmark::State& state) {
         os::TaskConfig config;
         config.affinity = hw::CpuSet::of({cpu});
         auto once = std::make_shared<bool>(false);
+        // += rather than operator+: GCC 12 at -O3 reports a false
+        // -Wrestrict on "p" + std::to_string(cpu).
+        std::string name = "p";
+        name += std::to_string(cpu);
+        name += '_';
+        name += std::to_string(k);
         kernel.start_task(kernel.create_task(
-            "p" + std::to_string(cpu) + "_" + std::to_string(k),
+            std::move(name),
             std::make_unique<os::LambdaDriver>([once](os::Task&) {
               if (*once) return os::Action::exit();
               *once = true;
@@ -161,7 +168,8 @@ void BM_GuestHousekeepingQuiet(benchmark::State& state) {
     const int tasks = platform.guest().vcpus();
     for (int i = 0; i < tasks; ++i) {
       virt::WorkTaskConfig config;
-      config.name = "g" + std::to_string(i);
+      config.name = "g";
+      config.name += std::to_string(i);
       config.on_exit = [&done](os::Task&) { ++done; };
       platform.start(
           platform.spawn(std::move(config), solo_burst_loop(msec(80), 2)));

@@ -19,12 +19,9 @@
 // The WordPress day is compressed to 60 simulated seconds at the mean
 // rate of 10M requests/day (116/s); Cassandra sees flash-crowd bursts.
 // Output is derived exclusively from per-request latency records, so
-// stdout is byte-identical for any --jobs and --shards value (wall
-// time and parallelism notes go to stderr).
-//
-// --shards N is this binary's own flag: each fleet's hosts spread over
-// N event shards advanced by N threads (cluster::FleetConfig::shards
-// and ::threads). The default, 1, runs each fleet on one engine.
+// stdout is byte-identical for any --jobs value (wall time and
+// parallelism notes go to stderr). Each fleet runs on one engine;
+// --jobs fans the (cell, rep) fleets across worker threads.
 #include <future>
 #include <sstream>
 #include <vector>
@@ -44,11 +41,9 @@ struct Cell {
   cluster::FleetConfig config;
 };
 
-cluster::FleetConfig wordpress_base(int shards) {
+cluster::FleetConfig wordpress_base() {
   cluster::FleetConfig config;
   config.hosts = 50;
-  config.shards = shards;
-  config.threads = shards;
   config.app = workload::AppClass::IoWeb;
   config.arrivals.kind = cluster::ArrivalKind::Diurnal;
   // 10M daily users at ~20 page views each; the peak hour runs the
@@ -64,11 +59,9 @@ cluster::FleetConfig wordpress_base(int shards) {
   return config;
 }
 
-cluster::FleetConfig cassandra_base(int shards) {
+cluster::FleetConfig cassandra_base() {
   cluster::FleetConfig config;
   config.hosts = 10;
-  config.shards = shards;
-  config.threads = shards;
   config.app = workload::AppClass::IoNoSql;
   config.cassandra.server_threads = 8;
   config.arrivals.kind = cluster::ArrivalKind::Burst;
@@ -203,9 +196,7 @@ stats::Figure measure(const std::string& title, const std::vector<Cell>& cells,
 
 int main(int argc, char** argv) {
   using namespace pinsim;
-  int shards = 1;
-  const bench::BenchOptions options =
-      bench::parse_cli(argc, argv, "--shards", &shards);
+  const bench::BenchOptions options = bench::parse_cli(argc, argv);
   bench::Stopwatch stopwatch;
   core::print_header(std::cout, "Cluster",
                      "50-host serving fleet: open-loop traffic, tail-latency "
@@ -219,7 +210,7 @@ int main(int argc, char** argv) {
   util::ThreadPool pool(options.jobs);
 
   std::vector<Cell> wordpress_cells;
-  make_cells(wordpress_base(shards), 10, 4, wordpress_cells);
+  make_cells(wordpress_base(), 10, 4, wordpress_cells);
   std::cout << "\nWordPress fleet (50 hosts, compressed diurnal day, "
             << reps << " reps):\n";
   const stats::Figure wordpress =
@@ -227,7 +218,7 @@ int main(int argc, char** argv) {
               wordpress_cells, reps, options.engine_stats, pool);
 
   std::vector<Cell> cassandra_cells;
-  make_cells(cassandra_base(shards), 4, 3, cassandra_cells);
+  make_cells(cassandra_base(), 4, 3, cassandra_cells);
   std::cout << "\nCassandra fleet (10 hosts, flash-crowd bursts, " << reps
             << " reps):\n";
   const stats::Figure cassandra =

@@ -16,20 +16,21 @@
 #    poisoned redzones. Skip with PINSIM_SKIP_SANITIZERS=1 for a
 #    quick pass.
 # 3. Build + run the parallel-harness tests under ThreadSanitizer
-#    (util::ThreadPool, ExperimentRunner::measure_all, and the
-#    barrier-synchronized sim::ShardedEngine round loop are the only
-#    concurrent code in the tree; TSan is the only tool that proves
-#    the sweep protocol and the shard workers race-free). The task
-#    reclamation tests and the threaded cluster golden run here too: a
-#    sharded cluster::Fleet frees exited request tasks on its shard
-#    threads.
+#    (util::ThreadPool and ExperimentRunner::measure_all are the only
+#    concurrent code in the tree; TSan is the only tool that proves the
+#    sweep protocol race-free). The fig3/fig5 determinism suites compare
+#    serial runs with --jobs 4. The cluster and task-reclamation suites
+#    stay in the filter because the benches run that code on pool
+#    workers.
 #    Skipped together with the other sanitizers via
 #    PINSIM_SKIP_SANITIZERS=1.
-# 4. Build micro_engine + micro_sched + micro_cluster + micro_hotloop in
-#    a Release tree so perf-relevant flags (-O2 -DNDEBUG) compile on
-#    every change, and run the micro suites once, writing machine-readable
-#    timings to BENCH_engine_latest.json, BENCH_sched_latest.json,
-#    BENCH_timer_latest.json (the timer-path
+# 4. Build pinsim_tests + micro_engine + micro_sched + micro_cluster +
+#    micro_hotloop in a Release tree with PINSIM_WERROR=ON, so
+#    perf-relevant flags (-O3 -DNDEBUG) compile warning-free on every
+#    change (GCC 12 raises -Wrestrict false positives on inlined
+#    std::string concatenation only at -O3), and run the micro suites
+#    once, writing machine-readable timings to BENCH_engine_latest.json,
+#    BENCH_sched_latest.json, BENCH_timer_latest.json (the timer-path
 #    subset tracked by BENCH_timer.json), BENCH_cluster_latest.json,
 #    and BENCH_hotloop_latest.json (quiet-core fast-forward +
 #    boundary batching, tracked by BENCH_hotloop.json) — all
@@ -72,12 +73,12 @@ if [[ "${PINSIM_SKIP_SANITIZERS:-0}" != "1" ]]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer"
   cmake --build build-tsan --target pinsim_tests -j
   ./build-tsan/tests/pinsim_tests \
-    --gtest_filter='ThreadPoolTest.*:ExperimentParallelTest.*:ShardedEngine*.*:ClusterFleetTest.*:ClusterGoldenTest.*:TaskReclaimTest.*:*PlatformReclaimTest.*:RequestSourceTest.*:Fig5DeterminismTest.*:Fig3DeterminismTest.*'
+    --gtest_filter='ThreadPoolTest.*:ExperimentParallelTest.*:ClusterFleetTest.*:ClusterGoldenTest.*:TaskReclaimTest.*:*PlatformReclaimTest.*:RequestSourceTest.*:Fig5DeterminismTest.*:Fig3DeterminismTest.*'
 fi
 
-echo "== Release build of the micro-benchmarks =="
-cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-release --target micro_engine micro_sched \
+echo "== Release build of tests + micro-benchmarks (warnings are errors) =="
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DPINSIM_WERROR=ON
+cmake --build build-release --target pinsim_tests micro_engine micro_sched \
   micro_cluster micro_hotloop -j
 
 echo "== engine micro smoke (BENCH_engine_latest.json) =="

@@ -39,8 +39,6 @@ struct AutoscalerConfig {
   int step = 1;
 };
 
-// Front-end state: shard-0-owned (see LoadBalancer).
-// pinsim-lint: shard-owner(0)
 class Autoscaler {
  public:
   explicit Autoscaler(AutoscalerConfig config);

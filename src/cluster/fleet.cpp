@@ -24,8 +24,8 @@ std::unique_ptr<workload::RequestSource> make_source(const FleetConfig& config,
   return workload::make_cassandra_source(platform, config.cassandra, rng);
 }
 
-/// Hosts, platforms and serving sources of one fleet, host h on its
-/// shard's engine. Sources are declared last so they are destroyed
+/// Hosts, platforms and serving sources of one fleet, all on the
+/// fleet's engine. Sources are declared last so they are destroyed
 /// before the platforms they serve.
 struct FleetHosts {
   std::vector<std::unique_ptr<virt::Host>> hosts;
@@ -33,15 +33,12 @@ struct FleetHosts {
   std::vector<std::unique_ptr<workload::RequestSource>> sources;
 };
 
-/// Build host h on shard `host_shard[h]` running `specs[h]`, with the
-/// experiment runner's per-repetition seed spacing, so host h matches
-/// repetition h of a solo run of the same spec. Each host's source is
-/// deployed right after its platform is built: construction stays
-/// interleaved, so host h's initial kernel events and the source's keep
-/// their relative order no matter which hosts share a shard.
-FleetHosts build_fleet_hosts(const FleetConfig& config,
-                             sim::ShardedEngine& sharded,
-                             const std::vector<int>& host_shard,
+/// Build host h on `engine` running `specs[h]`, with the experiment
+/// runner's per-repetition seed spacing, so host h matches repetition h
+/// of a solo run of the same spec. Each host's source is deployed right
+/// after its platform is built: construction stays interleaved, so host
+/// h's initial kernel events and the source's keep their relative order.
+FleetHosts build_fleet_hosts(const FleetConfig& config, sim::Engine& engine,
                              const std::vector<virt::PlatformSpec>& specs) {
   FleetHosts out;
   out.hosts.reserve(specs.size());
@@ -51,9 +48,8 @@ FleetHosts build_fleet_hosts(const FleetConfig& config,
     const std::uint64_t seed =
         config.base_seed + 1000003ull * static_cast<std::uint64_t>(h);
     out.hosts.push_back(std::make_unique<virt::Host>(
-        sharded.shard(host_shard[h]),
-        virt::host_topology_for(specs[h], config.full_host), config.costs,
-        seed));
+        engine, virt::host_topology_for(specs[h], config.full_host),
+        config.costs, seed));
     out.platforms.push_back(virt::make_platform(*out.hosts.back(), specs[h]));
     out.sources.push_back(make_source(config, *out.platforms.back(),
                                       Rng(seed ^ 0x517cc1b727220a95ull)));
@@ -76,10 +72,6 @@ const char* to_string(PinningPolicy policy) {
 Fleet::Fleet(FleetConfig config) : config_(std::move(config)) {
   PINSIM_CHECK_MSG(config_.hosts >= 1,
                    "fleet needs >= 1 host (got " << config_.hosts << ")");
-  PINSIM_CHECK_MSG(config_.shards >= 1,
-                   "fleet needs >= 1 shard (got " << config_.shards << ")");
-  PINSIM_CHECK_MSG(config_.threads >= 1,
-                   "fleet needs >= 1 thread (got " << config_.threads << ")");
   PINSIM_CHECK_MSG(config_.traffic_seconds > 0.0,
                    "traffic window must be positive");
   PINSIM_CHECK_MSG(config_.drain_seconds > 0.0, "drain window must be positive");
@@ -98,16 +90,6 @@ Fleet::Fleet(FleetConfig config) : config_(std::move(config)) {
                    "autoscaler floor exceeds the fleet size");
   config_.autoscaler.max_instances =
       std::min(config_.autoscaler.max_instances, config_.hosts);
-  host_shard_.reserve(static_cast<std::size_t>(config_.hosts));
-  for (int h = 0; h < config_.hosts; ++h) {
-    host_shard_.push_back(h % config_.shards);
-  }
-}
-
-int Fleet::shard_of(int host) const {
-  PINSIM_CHECK_MSG(host >= 0 && host < config_.hosts,
-                   "host " << host << " out of range");
-  return host_shard_[static_cast<std::size_t>(host)];
 }
 
 std::vector<virt::PlatformSpec> Fleet::resolved_specs() const {
@@ -145,18 +127,14 @@ int Fleet::initial_active() const {
 
 ClusterResult Fleet::run() {
   const int n = config_.hosts;
-  // Every cross-shard post below rides one dispatch leg, so a round may
-  // advance every shard that far past the earliest pending event.
-  sim::ShardedEngine sharded(sim::ShardedEngineConfig{
-      config_.shards, config_.dispatch_latency, config_.threads});
+  // One engine carries every host and the front end; it is declared
+  // first so it outlives the hosts that borrow it.
+  sim::Engine engine;
 
   const std::vector<virt::PlatformSpec> specs = resolved_specs();
-  const FleetHosts built =
-      build_fleet_hosts(config_, sharded, host_shard_, specs);
+  const FleetHosts built = build_fleet_hosts(config_, engine, specs);
 
-  // Front-end state. Everything below is touched only from shard-0
-  // events, so it needs no locks and behaves identically for every
-  // thread and shard count.
+  // Front-end state, touched only from front-end events.
   LoadBalancer balancer(config_.balancer, n);
   const core::ChrRange band = core::paper_chr_range(config_.app);
   std::vector<double> chr(static_cast<std::size_t>(n), 0.0);
@@ -176,7 +154,6 @@ ClusterResult Fleet::run() {
   std::vector<char> provisioning(static_cast<std::size_t>(n), 0);
   int provisioning_count = 0;
 
-  sim::Engine& front = sharded.shard(0);
   const SimTime traffic_end = sec_f(config_.traffic_seconds);
   const SimTime horizon =
       sec_f(config_.traffic_seconds + config_.drain_seconds);
@@ -192,37 +169,31 @@ ClusterResult Fleet::run() {
 
     workload::RequestSource* source =
         built.sources[static_cast<std::size_t>(host)].get();
-    sim::ShardedEngine* net = &sharded;
-    sim::Engine* front_engine = &front;
+    sim::Engine* eng = &engine;
     ClusterResult* result = &out;
     LoadBalancer* lb = &balancer;
-    const int shard = shard_of(host);
     const SimDuration leg = config_.dispatch_latency;
-    net->post(
-        0, shard, leg,
-        [net, front_engine, result, lb, source, shard, leg, id, host] {
-          source->inject([net, front_engine, result, lb, shard, leg, id,
-                          host] {
-            net->post(shard, 0, leg, [front_engine, result, lb, id, host] {
-              RequestRecord& record =
-                  result->trace[static_cast<std::size_t>(id)];
-              record.latency = front_engine->now() - record.arrival;
-              lb->add_outstanding(host, -1);
-              ++result->completed;
-            });
-          });
+    eng->schedule_detached(leg, [eng, result, lb, source, leg, id, host] {
+      source->inject([eng, result, lb, leg, id, host] {
+        eng->schedule_detached(leg, [eng, result, lb, id, host] {
+          RequestRecord& record = result->trace[static_cast<std::size_t>(id)];
+          record.latency = eng->now() - record.arrival;
+          lb->add_outstanding(host, -1);
+          ++result->completed;
         });
+      });
+    });
   };
 
-  // Open-loop arrival pump: a self-rescheduling shard-0 event chain.
+  // Open-loop arrival pump: a self-rescheduling event chain.
   Arrivals arrivals(config_.arrivals,
                     Rng(config_.base_seed ^ 0x94d049bb133111ebull));
   bool generating = false;
   std::function<void()> pump = [&] {
-    dispatch(front.now());
+    dispatch(engine.now());
     const SimTime next = arrivals.next();
     if (next < traffic_end) {
-      front.schedule_detached(next - front.now(), [&] { pump(); });
+      engine.schedule_detached(next - engine.now(), [&] { pump(); });
     } else {
       generating = false;
     }
@@ -231,25 +202,25 @@ ClusterResult Fleet::run() {
     const SimTime first = arrivals.next();
     if (first < traffic_end) {
       generating = true;
-      front.schedule_detached(first, [&] { pump(); });
+      engine.schedule_detached(first, [&] { pump(); });
     }
   }
 
-  // Watermark autoscaling: periodic shard-0 control ticks; scale-ups
+  // Watermark autoscaling: periodic control ticks; scale-ups
   // pay the provisioning delay before the balancer may route to them,
   // scale-downs drain (in-flight requests still complete).
   auto activate_later = [&](int host) {
     provisioning[static_cast<std::size_t>(host)] = 1;
     ++provisioning_count;
     ++out.scale_ups;
-    front.schedule_detached(config_.autoscaler.provisioning_delay,
-                            [&, host] {
-                              provisioning[static_cast<std::size_t>(host)] = 0;
-                              --provisioning_count;
-                              balancer.set_active(host, true);
-                              out.peak_active = std::max(
-                                  out.peak_active, balancer.active_count());
-                            });
+    engine.schedule_detached(config_.autoscaler.provisioning_delay,
+                             [&, host] {
+                               provisioning[static_cast<std::size_t>(host)] = 0;
+                               --provisioning_count;
+                               balancer.set_active(host, true);
+                               out.peak_active = std::max(
+                                   out.peak_active, balancer.active_count());
+                             });
   };
   auto scale_up = [&](int count) {
     for (int k = 0; k < count; ++k) {
@@ -290,29 +261,28 @@ ClusterResult Fleet::run() {
   if (config_.autoscale) {
     tick = [&] {
       const int delta =
-          autoscaler.evaluate(front.now(), balancer.active_count(),
+          autoscaler.evaluate(engine.now(), balancer.active_count(),
                               provisioning_count, balancer.total_outstanding());
       if (delta > 0) scale_up(delta);
       if (delta < 0) scale_down(-delta);
-      if (front.now() + config_.autoscaler.evaluation_period <= horizon) {
-        front.schedule_detached(config_.autoscaler.evaluation_period,
-                                [&] { tick(); });
+      if (engine.now() + config_.autoscaler.evaluation_period <= horizon) {
+        engine.schedule_detached(config_.autoscaler.evaluation_period,
+                                 [&] { tick(); });
       }
     };
-    front.schedule_detached(config_.autoscaler.evaluation_period,
-                            [&] { tick(); });
+    engine.schedule_detached(config_.autoscaler.evaluation_period,
+                             [&] { tick(); });
   }
 
   const auto drained = [&generating, &out] {
     return !generating && out.completed == out.dispatched;
   };
-  const bool finished = sharded.run_until(drained, horizon);
+  const bool finished = engine.run_until(drained, horizon);
   PINSIM_CHECK_MSG(finished, "cluster fleet (" << n << " hosts) did not drain "
                                                << "by the horizon");
 
-  // Fold the SLO summary from the trace in request-id order — never in
-  // completion order, which may tie-break differently across shard
-  // counts.
+  // Fold the SLO summary from the trace in request-id order, never in
+  // completion order.
   SloTracker tracker(config_.slo);
   for (const RequestRecord& record : out.trace) {
     PINSIM_CHECK(record.latency >= 0);
@@ -336,8 +306,8 @@ ClusterResult Fleet::run() {
     }
   }
   out.final_active = balancer.active_count();
-  out.shard_stats = sharded.stats();
-  out.engine_stats = sharded.engine_stats();
+  out.shard_stats.local_posts = out.dispatched + out.completed;
+  out.engine_stats = engine.stats();
   return out;
 }
 

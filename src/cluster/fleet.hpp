@@ -1,14 +1,14 @@
 // The cluster serving layer: N simulated hosts behind one front end.
 //
-// A Fleet instantiates `hosts` full virt::Hosts (host h on shard
-// h % shards, seeded like repetition h of a solo experiment), deploys
-// one workload::RequestSource per host, and drives open-loop traffic
-// from a front end living on shard 0:
+// A Fleet instantiates `hosts` full virt::Hosts on one shared
+// sim::Engine (host h seeded like repetition h of a solo experiment),
+// deploys one workload::RequestSource per host, and drives open-loop
+// traffic from a front end on the same engine:
 //
 //   Arrivals ----> LoadBalancer ----> host h's RequestSource
-//      |  pick()+dispatch   \--- post(0, shard(h), dispatch_latency)
+//      |  pick()+dispatch   \--- schedule_detached(dispatch_latency)
 //      |                          inject() ... request executes ...
-//      |              completion: post(shard(h), 0, dispatch_latency)
+//      |              completion: schedule_detached(dispatch_latency)
 //      v
 //   Autoscaler tick: watermark decisions -> provisioning timers ->
 //   activate/deactivate instances in the balancer
@@ -17,23 +17,15 @@
 // post-hoc CHR table into placement policy: every host's container is
 // sized by core::recommend_instance for the app class and pinned.
 //
-// Determinism contract (tests/cluster/fleet_test.cpp): a fixed config +
-// seed yields a byte-identical request trace and ClusterResult summary
-// for any `threads` and any `shards`. The load-bearing choices:
-//  - every front-end structure (balancer, autoscaler, trace, counters)
-//    is touched only by shard-0 events; hosts are reached exclusively
-//    through ShardedEngine::post with one dispatch_latency leg, and
-//    completions notify the front end the same way, so all cross-shard
-//    influence travels the canonical mailbox merge. That leg is also
-//    the engine's lookahead: a round spans one dispatch latency;
-//  - per-request latency is recorded into trace[id] at exact event
-//    instants, keyed by the dispatch-order id, and the SLO summary is
-//    folded from the trace in id order after the run — no accumulation
-//    follows event-completion order, which may tie-break differently
-//    between shard counts;
-//  - raw wall-clock at stop is window-granular under shards > 1 (the
-//    round loop stops at a window boundary, not at the last event) and
-//    deliberately not part of ClusterResult.
+// Determinism contract (tests/cluster/fleet_test.cpp,
+// fleet_golden_test.cpp): a fixed config + seed yields a byte-identical
+// request trace and ClusterResult summary on every run. Every host and
+// the front end share one engine, so the event order is the engine's
+// (when, seq) order and the run is serial by construction. The SLO
+// summary is folded from the trace in request-id order after the run,
+// never accumulated in completion order. Parallelism lives one level
+// up: independent fleets run on separate worker threads, each with its
+// own engine (scenario_cluster --jobs).
 #pragma once
 
 #include <cstdint>
@@ -46,7 +38,7 @@
 #include "cluster/slo.hpp"
 #include "hw/cost_model.hpp"
 #include "hw/topology.hpp"
-#include "sim/sharded_engine.hpp"
+#include "sim/engine.hpp"
 #include "util/units.hpp"
 #include "virt/factory.hpp"
 #include "virt/guest.hpp"
@@ -70,11 +62,6 @@ const char* to_string(PinningPolicy policy);
 
 struct FleetConfig {
   int hosts = 4;
-  /// Event shards; host h lives on shard h % shards, the front end on
-  /// shard 0. shards == 1 is the serial baseline.
-  int shards = 1;
-  /// Host threads for the sharded round loop.
-  int threads = 1;
   /// Serving application (IoWeb -> WordPress, IoNoSql -> Cassandra).
   workload::AppClass app = workload::AppClass::IoWeb;
   /// Platform every host runs, unless host_specs or the pinning policy
@@ -107,7 +94,7 @@ struct FleetConfig {
   SloConfig slo;
 
   /// Simulated front-end <-> host network latency, each way. Must be
-  /// > 0 (checked); it is also the sharded engine's lookahead.
+  /// > 0 (checked).
   SimDuration dispatch_latency = usec(200);
 
   /// Service-recipe tuning for the serving sources (batch-only fields
@@ -135,8 +122,18 @@ struct FleetHostReport {
   std::int64_t served = 0;
 };
 
-// Front-end state: shard-0-owned (see LoadBalancer).
-// pinsim-lint: shard-owner(0)
+/// Event-loop post counters in the shape perfbench reads them. The
+/// fleet runs on one engine, so there are no rounds and no cross-engine
+/// posts, and every dispatch and completion leg is a local post.
+/// perfbench/workloads.cpp is the only reader; the benchmark change
+/// that drops the sim.rounds / sim.cross_posts / sim.local_posts
+/// counters (ROADMAP item 6) removes this struct.
+struct FleetPostStats {
+  std::int64_t rounds = 0;
+  std::int64_t cross_posts = 0;
+  std::int64_t local_posts = 0;
+};
+
 struct ClusterResult {
   std::vector<RequestRecord> trace;
   std::int64_t dispatched = 0;
@@ -147,7 +144,7 @@ struct ClusterResult {
   std::int64_t scale_downs = 0;
   int peak_active = 0;
   int final_active = 0;
-  sim::ShardedEngineStats shard_stats;
+  FleetPostStats shard_stats;
   sim::EngineStats engine_stats;
   /// Every host kernel's counters, folded in host order.
   os::KernelStats kernel_stats;
@@ -162,9 +159,6 @@ class Fleet {
 
   const FleetConfig& config() const { return config_; }
 
-  /// Shard hosting host `h` (checked accessor for the host_shard_ map).
-  int shard_of(int host) const;
-
   /// Per-host platform specs after host_specs cycling and the pinning
   /// policy are applied.
   std::vector<virt::PlatformSpec> resolved_specs() const;
@@ -176,8 +170,6 @@ class Fleet {
   int initial_active() const;
 
   FleetConfig config_;
-  /// host -> shard back-pointer map, fixed at construction.
-  std::vector<int> host_shard_;
 };
 
 /// Convenience one-shot wrapper.

@@ -26,9 +26,8 @@ enum class BalancerPolicy { RoundRobin, LeastOutstanding, ChrAware };
 
 const char* to_string(BalancerPolicy policy);
 
-// Front-end state: lives on shard 0, mutated only by the dispatch
-// loop there. Worker-shard callbacks reach it by posting back.
-// pinsim-lint: shard-owner(0)
+// Front-end state: mutated only by the fleet's dispatch and
+// completion events.
 class LoadBalancer {
  public:
   LoadBalancer(BalancerPolicy policy, int backends);

@@ -4,9 +4,9 @@
 // by interpolated bucket walk) plus a stats::Accumulator for exact
 // moments; violations are counted sample-exactly against the configured
 // objective. The tracker is fed in request-id order after a fleet run
-// completes, never online from event callbacks, so its summary is
-// byte-identical across thread and shard counts (floating-point
-// accumulation order is fixed by construction).
+// completes, never online from event callbacks, so its summary does not
+// depend on completion order (floating-point accumulation order is
+// fixed by construction).
 #pragma once
 
 #include <cstddef>
@@ -37,8 +37,6 @@ struct SloSummary {
   double max_seconds = 0.0;
 };
 
-// Front-end state: shard-0-owned (see LoadBalancer).
-// pinsim-lint: shard-owner(0)
 class SloTracker {
  public:
   explicit SloTracker(SloConfig config);

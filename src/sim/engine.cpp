@@ -57,19 +57,6 @@ Engine::~Engine() {
   }
 }
 
-EngineStats& operator+=(EngineStats& into, const EngineStats& from) {
-  into.scheduled += from.scheduled;
-  into.fired += from.fired;
-  into.tombstone_pops += from.tombstone_pops;
-  into.deferred_rearms += from.deferred_rearms;
-  into.reschedules += from.reschedules;
-  into.peak_heap += from.peak_heap;
-  into.boundaries_batched += from.boundaries_batched;
-  into.boundaries_skipped += from.boundaries_skipped;
-  into.quiet_windows += from.quiet_windows;
-  return into;
-}
-
 void Engine::refill() {
   const unsigned b =
       mask_[0] != 0

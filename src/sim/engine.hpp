@@ -78,10 +78,6 @@ struct EngineStats {
   std::int64_t quiet_windows = 0;       // quiet-core fast-forwards entered
 };
 
-/// Field-wise sum (every counter, `peak_heap` included), for folding the
-/// engines of a sharded fleet.
-EngineStats& operator+=(EngineStats& into, const EngineStats& from);
-
 /// Process-wide totals across every Engine destroyed so far (each engine
 /// folds its counters in on destruction). The figure benches print this
 /// under --stats; worker-thread engines accumulate atomically.
@@ -157,8 +153,9 @@ class Engine {
 
   /// Allocate a batch-cookie domain id (16-bit, starts at 1 so the
   /// implicit cookie 0 of un-cookied tracked entries never matches).
-  /// Several kernels can share one engine (sharded fleets); each takes
-  /// its own domain so a sweep never drains a foreign kernel's timers.
+  /// Several kernels can share one engine (a cluster fleet's hosts); each
+  /// takes its own domain so a sweep never drains a foreign kernel's
+  /// timers.
   std::uint32_t new_batch_domain() {
     PINSIM_CHECK_MSG(next_batch_domain_ < 0xffffu, "batch domains exhausted");
     return next_batch_domain_++;
@@ -246,26 +243,10 @@ class Engine {
   /// Instant of the earliest pending queue entry, or kNoHorizon when the
   /// queue is empty. For an entry whose deadline was deferred later (see
   /// reschedule()) this reports the stale armed instant — a lower bound
-  /// on when the event can actually fire, which is exactly what the
-  /// sharded round loop needs for a conservative window. Not const: it
-  /// extracts the minimum into the top slot.
+  /// on when the event can actually fire. Not const: it extracts the
+  /// minimum into the top slot.
   SimTime peek_next() {
     return empty() ? kNoHorizon : when_of(key_[top()]);
-  }
-
-  /// Jump the clock forward to `when` without firing anything. Only
-  /// legal when no pending event lies at or before `when` (checked) —
-  /// the sharded engine uses this to keep every shard's clock aligned
-  /// at a window boundary so cross-shard deliveries are never in a
-  /// receiver's past.
-  void advance_clock_to(SimTime when) {
-    PINSIM_CHECK_MSG(when >= now_, "clock moved backwards (" << when << " < "
-                                                             << now_ << ")");
-    PINSIM_CHECK_MSG(peek_next() > when,
-                     "advance_clock_to(" << when
-                                         << ") would skip a pending event at "
-                                         << peek_next());
-    now_ = when;
   }
 
   /// Counter snapshot. `scheduled` and `peak_heap` are derived here

@@ -48,7 +48,7 @@ class Host {
 
   /// Host on a borrowed engine: every event of this machine (kernel,
   /// guest kernels, devices) runs on `engine`, which must outlive the
-  /// host. cluster::Fleet puts each host on its event shard's engine.
+  /// host. cluster::Fleet runs all of its hosts on one shared engine.
   Host(sim::Engine& engine, hw::Topology topology, hw::CostModel costs,
        std::uint64_t seed);
 

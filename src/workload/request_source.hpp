@@ -24,10 +24,9 @@
 //
 // Determinism: a source derives each request's service randomness by
 // forking its own Rng at inject() time. Injections reach a host in a
-// deterministic order (cluster::Fleet posts them through the sharded
-// engine's canonical mailbox merge), so a (config, seed) pair replays
-// the same per-request service times for any fleet thread or shard
-// count.
+// deterministic order (cluster::Fleet schedules them on its one
+// engine), so a (config, seed) pair replays the same per-request
+// service times on every run.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +53,9 @@ class RequestSource {
   virtual const char* name() const = 0;
 
   /// Begin serving one request now. Must be called at a simulated
-  /// instant on the platform's engine (the fleet posts the call to the
-  /// host's shard); `done` runs at the instant the request completes.
+  /// instant on the platform's engine (the fleet schedules the call one
+  /// dispatch leg after the arrival); `done` runs at the instant the
+  /// request completes.
   virtual void inject(Done done) = 0;
 
   /// Requests accepted and not yet completed.

@@ -13,14 +13,11 @@
 namespace pinsim::bench {
 namespace {
 
-BenchOptions parse(std::vector<std::string> args,
-                   const char* own_flag = nullptr,
-                   int* own_value = nullptr) {
+BenchOptions parse(std::vector<std::string> args) {
   args.insert(args.begin(), "bench");
   std::vector<char*> argv;
   for (std::string& arg : args) argv.push_back(arg.data());
-  return parse_cli(static_cast<int>(argv.size()), argv.data(), own_flag,
-                   own_value);
+  return parse_cli(static_cast<int>(argv.size()), argv.data());
 }
 
 void reject(std::vector<std::string> args) {
@@ -70,13 +67,6 @@ TEST_F(BenchCliTest, EnvironmentSetsDefaultsAndFlagsWin) {
   EXPECT_EQ(repetitions_or(20), 5);
   unsetenv("PINSIM_REPS");
   EXPECT_EQ(repetitions_or(20), 20);
-}
-
-TEST_F(BenchCliTest, OwnFlagParsesWhenDeclared) {
-  int shards = 1;
-  EXPECT_EQ(parse({"--shards", "4", "--jobs", "2"}, "--shards", &shards).jobs,
-            2);
-  EXPECT_EQ(shards, 4);
 }
 
 TEST_F(BenchCliDeathTest, RepsZeroFails) {
@@ -131,17 +121,12 @@ TEST_F(BenchCliDeathTest, BadEnvironmentNamesTheVariable) {
       ::testing::ExitedWithCode(2), "PINSIM_REPS must be >= 1");
 }
 
+// No bench takes --shards, scenario_cluster included.
 TEST_F(BenchCliDeathTest, ShardsIsNotACommonFlag) {
   EXPECT_EXIT(parse({"--shards", "2"}), ::testing::ExitedWithCode(2),
               "unknown argument: --shards");
   EXPECT_EXIT(parse({"--bogus"}), ::testing::ExitedWithCode(2),
               "unknown argument: --bogus");
-}
-
-TEST_F(BenchCliDeathTest, OwnFlagIsCheckedLikeTheCommonOnes) {
-  int shards = 1;
-  EXPECT_EXIT(parse({"--shards", "0"}, "--shards", &shards),
-              ::testing::ExitedWithCode(2), "--shards must be >= 1");
 }
 
 TEST_F(BenchCliDeathTest, HelpExitsZero) {

@@ -45,12 +45,10 @@ class Fnv1a {
   std::uint64_t hash_ = 14695981039346656037ull;
 };
 
-FleetConfig golden_fleet(workload::AppClass app, int shards) {
+FleetConfig golden_fleet(workload::AppClass app) {
   const virt::InstanceType& xlarge = virt::instance_by_name("xLarge");
   FleetConfig config;
   config.hosts = 6;
-  config.shards = shards;
-  config.threads = shards;
   config.app = app;
   config.host_specs = {
       {virt::PlatformKind::Container, virt::CpuMode::Vanilla, xlarge},
@@ -103,7 +101,7 @@ constexpr std::uint64_t kCassandraGolden = 12248704918453817960ull;
 
 TEST(ClusterGoldenTest, WordPressFleetMatchesGolden) {
   const ClusterResult result =
-      run_cluster(golden_fleet(workload::AppClass::IoWeb, 1));
+      run_cluster(golden_fleet(workload::AppClass::IoWeb));
   ASSERT_GT(result.dispatched, 100);
   EXPECT_EQ(result.completed, result.dispatched);
   EXPECT_EQ(hash_result(result), kWordPressGolden);
@@ -111,22 +109,10 @@ TEST(ClusterGoldenTest, WordPressFleetMatchesGolden) {
 
 TEST(ClusterGoldenTest, CassandraFleetMatchesGolden) {
   const ClusterResult result =
-      run_cluster(golden_fleet(workload::AppClass::IoNoSql, 1));
+      run_cluster(golden_fleet(workload::AppClass::IoNoSql));
   ASSERT_GT(result.dispatched, 100);
   EXPECT_EQ(result.completed, result.dispatched);
   EXPECT_EQ(hash_result(result), kCassandraGolden);
-}
-
-// Two shards on two threads: every host kernel runs (and reclaims its
-// exited request tasks) on a shard worker thread, concurrently with the
-// other shard. The output must not move.
-TEST(ClusterGoldenTest, ShardedThreadedFleetMatchesGolden) {
-  EXPECT_EQ(hash_result(run_cluster(
-                golden_fleet(workload::AppClass::IoWeb, 2))),
-            kWordPressGolden);
-  EXPECT_EQ(hash_result(run_cluster(
-                golden_fleet(workload::AppClass::IoNoSql, 2))),
-            kCassandraGolden);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// Cluster serving-layer determinism: a fixed (config, seed) must yield
-// a byte-identical request trace and summary for any worker-thread
-// count and any shard count — the front end is shard-0-only state and
-// all cross-shard influence travels the canonical mailbox merge, so
-// these comparisons are exact equality, not tolerance checks.
+// Cluster serving layer: open-loop traffic is served to completion, and
+// a fixed (config, seed) yields a byte-identical request trace and
+// summary on every run — every host and the front end share one engine,
+// so these comparisons are exact equality, not tolerance checks.
 #include "cluster/fleet.hpp"
 
 #include <gtest/gtest.h>
@@ -16,11 +15,9 @@
 namespace pinsim::cluster {
 namespace {
 
-FleetConfig small_fleet(int hosts, int shards, int threads) {
+FleetConfig small_fleet(int hosts) {
   FleetConfig config;
   config.hosts = hosts;
-  config.shards = shards;
-  config.threads = threads;
   config.arrivals.rate_per_second = 40.0;
   config.traffic_seconds = 2.0;
   config.drain_seconds = 60.0;
@@ -54,16 +51,8 @@ void expect_identical(const ClusterResult& a, const ClusterResult& b) {
   EXPECT_EQ(a.final_active, b.final_active);
 }
 
-TEST(ClusterFleetTest, ShardMapRoundRobins) {
-  const Fleet fleet(small_fleet(5, 2, 1));
-  EXPECT_EQ(fleet.shard_of(0), 0);
-  EXPECT_EQ(fleet.shard_of(1), 1);
-  EXPECT_EQ(fleet.shard_of(4), 0);
-  EXPECT_THROW(fleet.shard_of(5), InvariantViolation);
-}
-
 TEST(ClusterFleetTest, ServesOpenLoopTrafficToCompletion) {
-  const ClusterResult result = run_cluster(small_fleet(4, 1, 1));
+  const ClusterResult result = run_cluster(small_fleet(4));
   EXPECT_GT(result.dispatched, 20);
   EXPECT_EQ(result.completed, result.dispatched);
   EXPECT_EQ(result.slo.total, result.dispatched);
@@ -80,49 +69,11 @@ TEST(ClusterFleetTest, ServesOpenLoopTrafficToCompletion) {
 }
 
 TEST(ClusterFleetTest, TraceIsIdenticalAcrossRepeatedRuns) {
-  expect_identical(run_cluster(small_fleet(4, 2, 1)),
-                   run_cluster(small_fleet(4, 2, 1)));
-}
-
-TEST(ClusterFleetTest, ThreadCountDoesNotChangeTheTrace) {
-  expect_identical(run_cluster(small_fleet(4, 4, 1)),
-                   run_cluster(small_fleet(4, 4, 4)));
-}
-
-TEST(ClusterFleetTest, ShardCountDoesNotChangeTheTrace) {
-  const ClusterResult serial = run_cluster(small_fleet(4, 1, 1));
-  expect_identical(serial, run_cluster(small_fleet(4, 2, 1)));
-  expect_identical(serial, run_cluster(small_fleet(4, 4, 2)));
-}
-
-TEST(ClusterFleetTest, RoundsBoundedByDispatchLatency) {
-  // Every cross-shard post rides one dispatch leg, so the leg is the
-  // sharded engine's lookahead: each round's window starts at or after
-  // the previous one's end and spans a full leg, so a run that ends
-  // with the last completion notice fits in last / leg + 1 rounds.
-  FleetConfig config = small_fleet(4, 1, 1);
-  config.arrivals.rate_per_second = 400.0;
-  config.traffic_seconds = 1.0;
-  config.drain_seconds = 30.0;
-  const ClusterResult serial = run_cluster(config);
-  SimTime last = 0;
-  for (const RequestRecord& record : serial.trace) {
-    last = std::max(last, record.arrival + record.latency);
-  }
-  ASSERT_GT(last, 0);
-  for (const int shards : {2, 4}) {
-    config.shards = shards;
-    const ClusterResult sharded = run_cluster(config);
-    expect_identical(serial, sharded);
-    EXPECT_GT(sharded.shard_stats.rounds, 0) << "shards " << shards;
-    EXPECT_LE(sharded.shard_stats.rounds,
-              last / config.dispatch_latency + 1)
-        << "shards " << shards;
-  }
+  expect_identical(run_cluster(small_fleet(4)), run_cluster(small_fleet(4)));
 }
 
 TEST(ClusterFleetTest, CassandraFleetServesToCompletion) {
-  FleetConfig config = small_fleet(3, 3, 2);
+  FleetConfig config = small_fleet(3);
   config.app = workload::AppClass::IoNoSql;
   config.cassandra.server_threads = 4;
   const ClusterResult a = run_cluster(config);
@@ -132,7 +83,7 @@ TEST(ClusterFleetTest, CassandraFleetServesToCompletion) {
 }
 
 TEST(ClusterFleetTest, RoundRobinSpreadsLoadEvenly) {
-  FleetConfig config = small_fleet(4, 1, 1);
+  FleetConfig config = small_fleet(4);
   config.balancer = BalancerPolicy::RoundRobin;
   const ClusterResult result = run_cluster(config);
   std::int64_t lo = result.dispatched;
@@ -145,7 +96,7 @@ TEST(ClusterFleetTest, RoundRobinSpreadsLoadEvenly) {
 }
 
 TEST(ClusterFleetTest, ChrAdvisorPinsEveryHostIntoTheBand) {
-  FleetConfig config = small_fleet(2, 1, 1);
+  FleetConfig config = small_fleet(2);
   config.pinning = PinningPolicy::ChrAdvisor;
   const Fleet fleet(config);
   const core::ChrRange band = core::paper_chr_range(config.app);
@@ -160,7 +111,7 @@ TEST(ClusterFleetTest, ChrAdvisorPinsEveryHostIntoTheBand) {
 }
 
 TEST(ClusterFleetTest, AutoscalerGrowsTheFleetUnderBurst) {
-  FleetConfig config = small_fleet(4, 2, 2);
+  FleetConfig config = small_fleet(4);
   config.arrivals.kind = ArrivalKind::Burst;
   config.arrivals.rate_per_second = 30.0;
   config.arrivals.burst_multiplier = 10.0;
@@ -179,7 +130,7 @@ TEST(ClusterFleetTest, AutoscalerGrowsTheFleetUnderBurst) {
 }
 
 TEST(ClusterFleetTest, FoldsKernelCountersAcrossHosts) {
-  FleetConfig config = small_fleet(2, 1, 1);
+  FleetConfig config = small_fleet(2);
   const virt::InstanceType& xlarge = virt::instance_by_name("xLarge");
   config.host_specs = {
       {virt::PlatformKind::Container, virt::CpuMode::Vanilla, xlarge},
@@ -205,20 +156,16 @@ TEST(ClusterFleetTest, FoldsKernelCountersAcrossHosts) {
 }
 
 TEST(ClusterFleetTest, RejectsNonPositiveDispatchLatency) {
-  // Checked at construction for every shard count: a one-shard fleet
-  // never reads the lookahead, so a zero leg must not slip through.
-  for (const int shards : {1, 2}) {
-    for (const SimDuration latency : {SimDuration{0}, -usec(200)}) {
-      FleetConfig config = small_fleet(2, shards, 1);
-      config.dispatch_latency = latency;
-      EXPECT_THROW(Fleet{config}, InvariantViolation)
-          << "shards " << shards << ", latency " << latency;
-    }
+  // Checked at construction: each leg is a simulated network hop.
+  for (const SimDuration latency : {SimDuration{0}, -usec(200)}) {
+    FleetConfig config = small_fleet(2);
+    config.dispatch_latency = latency;
+    EXPECT_THROW(Fleet{config}, InvariantViolation) << "latency " << latency;
   }
 }
 
 TEST(ClusterFleetTest, RejectsNonServingAppClasses) {
-  FleetConfig config = small_fleet(2, 1, 1);
+  FleetConfig config = small_fleet(2);
   config.app = workload::AppClass::CpuBound;
   EXPECT_THROW(Fleet{config}, InvariantViolation);
 }

@@ -12,6 +12,7 @@
 #include "os/cgroup.hpp"
 #include "os/kernel.hpp"
 #include "sim/engine.hpp"
+#include "support/names.hpp"
 #include "util/check.hpp"
 
 namespace pinsim::os {
@@ -19,7 +20,7 @@ namespace {
 
 std::unique_ptr<Task> make_task(Task::Id id) {
   return std::make_unique<Task>(
-      id, "t" + std::to_string(id),
+      id, test::numbered("t", id),
       std::make_unique<LambdaDriver>([](Task&) { return Action::exit(); }));
 }
 
@@ -130,7 +131,7 @@ TEST(CgroupParkedTest, ParkedOrderDoesNotAffectResults) {
     for (int i = 0; i < 4; ++i) {
       TaskConfig config;
       config.cgroup = &group;
-      Task& t = kernel.create_task("w" + std::to_string(i),
+      Task& t = kernel.create_task(test::numbered("w", i),
                                    compute_once(msec(30)), config);
       kernel.start_task(t);
       tasks.push_back(&t);

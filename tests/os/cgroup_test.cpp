@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "support/names.hpp"
 #include "util/check.hpp"
 
 namespace pinsim::os {
@@ -117,7 +118,7 @@ TEST(CgroupTest, MembershipMaintained) {
 
 std::unique_ptr<Task> make_task(Task::Id id) {
   return std::make_unique<Task>(
-      id, "t" + std::to_string(id),
+      id, test::numbered("t", id),
       std::make_unique<LambdaDriver>([](Task&) { return Action::exit(); }));
 }
 

@@ -9,6 +9,7 @@
 #include "hw/topology.hpp"
 #include "os/kernel.hpp"
 #include "sim/engine.hpp"
+#include "support/names.hpp"
 
 namespace pinsim::os {
 namespace {
@@ -65,7 +66,7 @@ TEST(KernelAffinityTest, AffinityNeverViolated) {
   config.affinity = hw::CpuSet::of({3, 7, 11});
   for (int i = 0; i < 6; ++i) {
     Task& t = kernel.create_task(
-        "pinned" + std::to_string(i),
+        test::numbered("pinned", i),
         compute_sleep_loop(msec(2), msec(1), 20), config);
     kernel.start_task(t);
   }
@@ -89,7 +90,7 @@ TEST(KernelAffinityTest, CgroupCpusetNeverViolated) {
   for (int i = 0; i < 8; ++i) {
     TaskConfig config;
     config.cgroup = &group;
-    Task& t = kernel.create_task("w" + std::to_string(i),
+    Task& t = kernel.create_task(test::numbered("w", i),
                                  compute_once(msec(20)), config);
     kernel.start_task(t);
   }
@@ -111,7 +112,7 @@ TEST(KernelAffinityTest, VanillaWakeupsScatterAcrossHost) {
   // host machine to the CN process" — under contention, unpinned
   // sleep/wake tasks spread over the host.
   for (int i = 0; i < 64; ++i) {
-    Task& t = kernel.create_task("v" + std::to_string(i),
+    Task& t = kernel.create_task(test::numbered("v", i),
                                  compute_sleep_loop(msec(2), msec(1), 30));
     kernel.start_task(t);
   }
@@ -131,7 +132,7 @@ TEST(KernelAffinityTest, StickyTasksReturnToPreviousCpu) {
   config.affinity = hw::CpuSet::first_n(4);
   std::vector<Task*> tasks;
   for (int i = 0; i < 4; ++i) {
-    Task& t = kernel.create_task("s" + std::to_string(i),
+    Task& t = kernel.create_task(test::numbered("s", i),
                                  compute_sleep_loop(msec(1), msec(3), 25),
                                  config);
     t.sticky_wakeup = true;
@@ -158,7 +159,7 @@ TEST(KernelAffinityTest, MigrationsChargePenalty) {
     auto n = std::make_shared<int>(0);
     auto io_next = std::make_shared<bool>(false);
     Task& t = kernel.create_task(
-        "m" + std::to_string(i),
+        test::numbered("m", i),
         std::make_unique<LambdaDriver>([&disk, n, io_next](Task&) {
           if (*n >= 15) return Action::exit();
           if (!*io_next) {
@@ -186,7 +187,7 @@ TEST(KernelAffinityTest, IdleStealingSpreadsQueuedWork) {
   // Start 8 cpu-bound tasks at once; placement plus stealing/balancing
   // must end up using all 4 cpus, finishing in ~2x the single-task time.
   for (int i = 0; i < 8; ++i) {
-    Task& t = kernel.create_task("q" + std::to_string(i),
+    Task& t = kernel.create_task(test::numbered("q", i),
                                  compute_once(msec(40)));
     kernel.start_task(t);
   }
@@ -201,7 +202,7 @@ TEST(KernelAffinityTest, CrossSocketMigrationsCountedSeparately) {
   hw::CostModel costs;
   Kernel kernel(engine, topo, costs, Rng(13));
   for (int i = 0; i < 64; ++i) {
-    Task& t = kernel.create_task("x" + std::to_string(i),
+    Task& t = kernel.create_task(test::numbered("x", i),
                                  compute_sleep_loop(msec(1), msec(1), 30));
     kernel.start_task(t);
   }

@@ -8,6 +8,7 @@
 #include "hw/topology.hpp"
 #include "os/kernel.hpp"
 #include "sim/engine.hpp"
+#include "support/names.hpp"
 #include "util/check.hpp"
 
 namespace pinsim::os {
@@ -57,7 +58,7 @@ TEST(KernelCgroupTest, QuotaCapsThroughput) {
   for (int i = 0; i < 4; ++i) {
     TaskConfig config;
     config.cgroup = &group;
-    Task& t = h.kernel.create_task("w" + std::to_string(i),
+    Task& t = h.kernel.create_task(test::numbered("w", i),
                                    compute_once(msec(100)), config);
     h.kernel.start_task(t);
   }
@@ -100,7 +101,7 @@ TEST(KernelCgroupTest, UsageNeverExceedsQuotaPerPeriodByMuch) {
   for (int i = 0; i < 4; ++i) {
     TaskConfig config;
     config.cgroup = &group;
-    Task& t = h.kernel.create_task("w" + std::to_string(i),
+    Task& t = h.kernel.create_task(test::numbered("w", i),
                                    compute_once(msec(200)), config);
     h.kernel.start_task(t);
   }
@@ -128,7 +129,7 @@ TEST(KernelCgroupTest, WideGroupPaysMoreAggregationThanPinned) {
       config.cgroup = &group;
       config.working_set_mb = 20.0;
       Task& t = h.kernel.create_task(
-          "w" + std::to_string(i),
+          test::numbered("w", i),
           compute_sleep_loop(msec(1), msec(1), 40), config);
       h.kernel.start_task(t);
     }
@@ -169,7 +170,7 @@ TEST(KernelCgroupTest, BoundaryTimerChurnLeavesNoTombstones) {
   for (int i = 0; i < 12; ++i) {
     TaskConfig config;
     config.cgroup = &group;
-    Task& t = h.kernel.create_task("w" + std::to_string(i),
+    Task& t = h.kernel.create_task(test::numbered("w", i),
                                    compute_sleep_loop(msec(2), msec(1), 60),
                                    config);
     h.kernel.start_task(t);

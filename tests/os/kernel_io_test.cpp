@@ -8,6 +8,7 @@
 #include "hw/topology.hpp"
 #include "os/kernel.hpp"
 #include "sim/engine.hpp"
+#include "support/names.hpp"
 
 namespace pinsim::os {
 namespace {
@@ -119,7 +120,7 @@ TEST(KernelIoTest, UnpinnedIrqsSpreadRoundRobin) {
 TEST(KernelIoTest, ManyConcurrentIoTasksFinish) {
   Harness h(hw::Topology(1, 8, 2, 16.0));
   for (int i = 0; i < 50; ++i) {
-    Task& t = h.kernel.create_task("r" + std::to_string(i),
+    Task& t = h.kernel.create_task(test::numbered("r", i),
                                    io_loop(h.disk, usec(200), 8));
     h.kernel.start_task(t);
   }

@@ -11,6 +11,7 @@
 #include "hw/topology.hpp"
 #include "os/kernel.hpp"
 #include "sim/engine.hpp"
+#include "support/names.hpp"
 
 namespace pinsim::os {
 namespace {
@@ -33,7 +34,7 @@ void spawn_mixed(Kernel& kernel, hw::IoDevice& disk, int tasks, Rng& rng) {
     auto n = std::make_shared<int>(0);
     auto phase = std::make_shared<int>(0);
     kernel.start_task(kernel.create_task(
-        "t" + std::to_string(i),
+        test::numbered("t", i),
         std::make_unique<LambdaDriver>(
             [&disk, n, phase, work, iterations, flavour](Task&) {
               if (*n >= iterations) return Action::exit();
@@ -121,7 +122,7 @@ TEST_P(KernelPropertyTest, AffinityNeverViolatedUnderChurn) {
     auto n = std::make_shared<int>(0);
     auto phase = std::make_shared<bool>(false);
     Task& task = kernel.create_task(
-        "a" + std::to_string(i),
+        test::numbered("a", i),
         std::make_unique<LambdaDriver>([&disk, n, phase](Task&) {
           if (*n >= 8) return Action::exit();
           if (!*phase) {
@@ -141,10 +142,12 @@ TEST_P(KernelPropertyTest, AffinityNeverViolatedUnderChurn) {
 std::string kernel_property_name(
     const ::testing::TestParamInfo<KernelPropertyTest::ParamType>& info) {
   const Shape shape = std::get<0>(info.param);
-  return "s" + std::to_string(shape.sockets) + "c" +
-         std::to_string(shape.cores) + "t" + std::to_string(shape.smt) +
-         "_n" + std::to_string(std::get<1>(info.param)) + "_seed" +
-         std::to_string(std::get<2>(info.param));
+  std::string name = test::numbered("s", shape.sockets);
+  name += test::numbered("c", shape.cores);
+  name += test::numbered("t", shape.smt);
+  name += test::numbered("_n", std::get<1>(info.param));
+  name += test::numbered("_seed", std::get<2>(info.param));
+  return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -170,7 +173,7 @@ TEST_P(QuotaPropertyTest, UsageRateNeverExceedsQuota) {
     config.cgroup = &group;
     auto done = std::make_shared<bool>(false);
     Task& task = kernel.create_task(
-        "w" + std::to_string(i),
+        test::numbered("w", i),
         std::make_unique<LambdaDriver>([done](Task&) {
           if (*done) return Action::exit();
           *done = true;

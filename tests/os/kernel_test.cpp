@@ -8,6 +8,7 @@
 
 #include "hw/topology.hpp"
 #include "sim/engine.hpp"
+#include "support/names.hpp"
 
 namespace pinsim::os {
 namespace {
@@ -68,7 +69,7 @@ TEST(KernelTest, WorkConservationAcrossCpus) {
   Harness h(hw::Topology(1, 2, 1, 16.0));
   std::vector<Task*> tasks;
   for (int i = 0; i < 4; ++i) {
-    Task& t = h.kernel.create_task("t" + std::to_string(i),
+    Task& t = h.kernel.create_task(test::numbered("t", i),
                                    compute_once(msec(50)));
     tasks.push_back(&t);
     h.kernel.start_task(t);
@@ -82,7 +83,7 @@ TEST(KernelTest, WorkConservationAcrossCpus) {
 TEST(KernelTest, ParallelTasksUseAllCpus) {
   Harness h(hw::Topology(1, 4, 1, 16.0));
   for (int i = 0; i < 4; ++i) {
-    Task& t = h.kernel.create_task("t" + std::to_string(i),
+    Task& t = h.kernel.create_task(test::numbered("t", i),
                                    compute_once(msec(50)));
     h.kernel.start_task(t);
   }
@@ -222,7 +223,7 @@ TEST(KernelTest, DeterministicUnderSameSeed) {
       config.on_exit = [&finishes, &h](Task&) {
         finishes.push_back(h.engine.now());
       };
-      Task& t = h.kernel.create_task("t" + std::to_string(i),
+      Task& t = h.kernel.create_task(test::numbered("t", i),
                                      std::move(driver), config);
       h.kernel.start_task(t);
     }
@@ -262,7 +263,7 @@ TEST(KernelTest, DifferentSeedsDivergeWithStochasticService) {
 TEST(KernelTest, StatsCountContextSwitches) {
   Harness h(hw::Topology(1, 1, 1, 16.0));
   for (int i = 0; i < 3; ++i) {
-    Task& t = h.kernel.create_task("t" + std::to_string(i),
+    Task& t = h.kernel.create_task(test::numbered("t", i),
                                    compute_once(msec(30)));
     h.kernel.start_task(t);
   }

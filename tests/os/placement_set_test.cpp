@@ -11,6 +11,7 @@
 #include "hw/topology.hpp"
 #include "os/kernel.hpp"
 #include "sim/engine.hpp"
+#include "support/names.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -69,7 +70,7 @@ TEST(PlacementSetTest, AllowedAndPredicateMatchSetBuildingReference) {
     for (int g = 0; g < 4; ++g) {
       const double limit = g % 2 == 0 ? 2.0 : 0.0;  // half have quota
       groups.push_back(&kernel.create_cgroup(
-          {"g" + std::to_string(g), limit, random_subset(rng, cpus)}));
+          {test::numbered("g", g), limit, random_subset(rng, cpus)}));
     }
     std::vector<Task*> tasks;
     for (int t = 0; t < 40; ++t) {

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "support/names.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -16,7 +17,7 @@ namespace {
 
 std::unique_ptr<Task> make_task(Task::Id id, SimDuration vruntime) {
   auto task = std::make_unique<Task>(
-      id, "t" + std::to_string(id),
+      id, test::numbered("t", id),
       std::make_unique<LambdaDriver>([](Task&) { return Action::exit(); }));
   task->vruntime = vruntime;
   return task;

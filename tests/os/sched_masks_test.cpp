@@ -13,6 +13,7 @@
 #include "hw/topology.hpp"
 #include "os/kernel.hpp"
 #include "sim/engine.hpp"
+#include "support/names.hpp"
 
 namespace pinsim::os {
 
@@ -77,7 +78,7 @@ TEST(SchedMasksTest, MasksMatchRecomputeThroughoutBusyRun) {
   std::vector<Task*> tasks;
   for (int i = 0; i < 10; ++i) {
     Task& t = kernel.create_task(
-        "w" + std::to_string(i),
+        test::numbered("w", i),
         compute_sleep_loop(msec(2 + i % 3), msec(1 + i % 2), 12), {});
     kernel.start_task(t);
     tasks.push_back(&t);
@@ -105,7 +106,7 @@ TEST(SchedMasksTest, MasksMatchRecomputeWithCpusetAndQuota) {
   for (int i = 0; i < 3; ++i) {
     TaskConfig config;
     config.cgroup = &group;
-    Task& t = kernel.create_task("g" + std::to_string(i),
+    Task& t = kernel.create_task(test::numbered("g", i),
                                  compute_sleep_loop(msec(4), msec(1), 8),
                                  config);
     kernel.start_task(t);

@@ -15,6 +15,7 @@
 #include "os/cgroup.hpp"
 #include "os/runqueue.hpp"
 #include "os/task.hpp"
+#include "support/names.hpp"
 #include "util/rng.hpp"
 
 namespace pinsim::os {
@@ -111,7 +112,7 @@ TEST(StealCandidateTest, MatchesMaxWhereOracleAndUngroupedRecount) {
       const double limit =
           rng.uniform_int(0, 4) == 0 ? 0.0 : rng.uniform(0.1, 1.0);
       ex.groups.push_back(std::make_unique<Cgroup>(
-          Cgroup::Config{"g" + std::to_string(g), limit, random_subset(rng)},
+          Cgroup::Config{test::numbered("g", g), limit, random_subset(rng)},
           costs));
     }
     // A third of the rounds queue only grouped tasks.

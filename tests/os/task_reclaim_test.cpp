@@ -14,6 +14,7 @@
 #include "hw/topology.hpp"
 #include "os/kernel.hpp"
 #include "sim/engine.hpp"
+#include "support/names.hpp"
 
 namespace pinsim::os {
 namespace {
@@ -57,7 +58,7 @@ TEST(TaskReclaimTest, DetachedTaskIsFreedAtTheNextCreate) {
     TaskConfig config = detached_in(&group);
     config.on_exit = [&exits](Task&) { ++exits; };
     h.kernel.start_task(h.kernel.create_task(
-        "req" + std::to_string(i), compute_once(msec(2)), std::move(config)));
+        test::numbered("req", i), compute_once(msec(2)), std::move(config)));
   }
   ASSERT_TRUE(h.kernel.run_until_quiescent());
   EXPECT_EQ(exits, 3);
@@ -144,7 +145,7 @@ TEST(TaskReclaimTest, ExitCallbackMayCreateTasksWithoutFreeingItsOwn) {
       EXPECT_EQ(self.state, TaskState::Finished);
       EXPECT_GE(self.stats.finished_at, self.stats.started_at);
     };
-    Task& task = h.kernel.create_task("req" + std::to_string(created++),
+    Task& task = h.kernel.create_task(test::numbered("req", created++),
                                       compute_once(msec(1)), std::move(config));
     peak_tasks = std::max(peak_tasks, h.kernel.tasks().size());
     h.kernel.start_task(task);

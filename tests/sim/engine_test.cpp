@@ -291,6 +291,26 @@ TEST(EngineTest, StatsCountFiresTombstonesAndDeferrals) {
   EXPECT_EQ(stats.reschedules, 1);
 }
 
+TEST(EngineTest, AggregateStatsFoldEachDestroyedEngine) {
+  // The process-wide totals that --stats prints grow as each engine is
+  // destroyed, by exactly that engine's counters.
+  const EngineStats before = aggregate_engine_stats();
+  {
+    Engine a;
+    Engine b;
+    for (int i = 0; i < 25; ++i) {
+      a.schedule_detached(usec(i), [] {});
+      b.schedule_detached(usec(5 + i), [] {});
+    }
+    a.run();
+    b.run();
+    EXPECT_EQ(aggregate_engine_stats().fired, before.fired);
+  }
+  const EngineStats after = aggregate_engine_stats();
+  EXPECT_EQ(after.fired - before.fired, 50);
+  EXPECT_EQ(after.scheduled - before.scheduled, 50);
+}
+
 TEST(EngineTest, RescheduleUntrackedPendingHandleIsInvariantViolation) {
   // reschedule() requires a handle from schedule_tracked(); a pending
   // handle from plain schedule() is a fire-once event, so the engine

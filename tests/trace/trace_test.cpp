@@ -1,3 +1,4 @@
+#include "support/names.hpp"
 #include "trace/tracer.hpp"
 
 #include <gtest/gtest.h>
@@ -36,7 +37,7 @@ TEST(TraceTest, SessionObservesKernelActivity) {
   TraceSession trace(kernel);
 
   for (int i = 0; i < 6; ++i) {
-    os::Task& task = kernel.create_task("t" + std::to_string(i),
+    os::Task& task = kernel.create_task(test::numbered("t", i),
                                         io_loop(disk, msec(1), 10));
     kernel.start_task(task);
   }
@@ -83,7 +84,7 @@ TEST(TraceTest, SchedStatsClassifyMigrationsByDistance) {
     auto n = std::make_shared<int>(0);
     auto sleeping = std::make_shared<bool>(false);
     os::Task& task = kernel.create_task(
-        "m" + std::to_string(i),
+        test::numbered("m", i),
         std::make_unique<os::LambdaDriver>([n, sleeping](os::Task&) {
           if (*n >= 15) return os::Action::exit();
           if (!*sleeping) {

@@ -1,3 +1,4 @@
+#include "support/names.hpp"
 #include "virt/container.hpp"
 
 #include <gtest/gtest.h>
@@ -45,7 +46,7 @@ TEST(ContainerTest, QuotaEnforcedOnBigHost) {
   int done = 0;
   for (int i = 0; i < 4; ++i) {
     WorkTaskConfig config;
-    config.name = "w" + std::to_string(i);
+    config.name = test::numbered("w", i);
     config.on_exit = [&done](os::Task&) { ++done; };
     os::Task& task = h.platform.spawn(std::move(config),
                                       compute_once(msec(50)));
@@ -65,7 +66,7 @@ TEST(ContainerTest, PinnedContainerStaysInCpuset) {
   int done = 0;
   for (int i = 0; i < 8; ++i) {
     WorkTaskConfig config;
-    config.name = "w" + std::to_string(i);
+    config.name = test::numbered("w", i);
     config.on_exit = [&done](os::Task&) { ++done; };
     os::Task& task = h.platform.spawn(std::move(config),
                                       compute_once(msec(10)));
@@ -96,7 +97,7 @@ TEST(ContainerTest, VanillaContainerSpreadsButPinnedDoesNot) {
     int done = 0;
     for (int i = 0; i < 16; ++i) {
       WorkTaskConfig config;
-      config.name = "w" + std::to_string(i);
+      config.name = test::numbered("w", i);
       config.on_exit = [&done](os::Task&) { ++done; };
       os::Task& task = h.platform.spawn(std::move(config),
                                         compute_once(msec(30)));

@@ -4,6 +4,7 @@
 #include <memory>
 #include <tuple>
 
+#include "support/names.hpp"
 #include "virt/factory.hpp"
 #include "virt/vm.hpp"
 #include "virt/vm_container.hpp"
@@ -37,7 +38,7 @@ TEST_P(GuestPropertyTest, GuestWorkAllCompletesAndGrantsAreBounded) {
     const SimDuration work = msec(5 + 3 * (i % 4));
     requested_work += work;
     WorkTaskConfig config;
-    config.name = "g" + std::to_string(i);
+    config.name = test::numbered("g", i);
     config.on_exit = [&done](os::Task&) { ++done; };
     os::Task& task = platform.spawn(std::move(config), compute_once(work));
     platform.start(task);
@@ -123,7 +124,7 @@ TEST(GuestPropertyTest, VmcnQuotaBoundsGuestUsage) {
   int done = 0;
   for (int i = 0; i < 6; ++i) {
     WorkTaskConfig config;
-    config.name = "w" + std::to_string(i);
+    config.name = test::numbered("w", i);
     config.on_exit = [&done](os::Task&) { ++done; };
     os::Task& task = platform.spawn(std::move(config),
                                     compute_once(msec(40)));

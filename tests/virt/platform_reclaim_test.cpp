@@ -10,6 +10,7 @@
 
 #include "hw/cost_model.hpp"
 #include "hw/topology.hpp"
+#include "support/names.hpp"
 #include "virt/container.hpp"
 #include "virt/factory.hpp"
 #include "virt/platform.hpp"
@@ -80,7 +81,7 @@ TEST_P(PlatformReclaimTest, DetachedTasksAreFreedJoinableKept) {
   bench.platform->start(kept);
   for (int i = 0; i < 4; ++i) {
     bench.platform->start(
-        bench.spawn("req" + std::to_string(i), /*detached=*/true, &exits));
+        bench.spawn(test::numbered("req", i), /*detached=*/true, &exits));
   }
   bench.host.engine().run_until([&] { return exits == 5; }, sec(10));
   ASSERT_EQ(exits, 5);

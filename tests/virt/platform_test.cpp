@@ -1,3 +1,4 @@
+#include "support/names.hpp"
 #include "virt/platform.hpp"
 
 #include <gtest/gtest.h>
@@ -87,7 +88,7 @@ TEST(BareMetalTest, RunsWorkloadToCompletion) {
   int done = 0;
   for (int i = 0; i < 4; ++i) {
     WorkTaskConfig config;
-    config.name = "t" + std::to_string(i);
+    config.name = test::numbered("t", i);
     config.on_exit = [&done](os::Task&) { ++done; };
     os::Task& task = platform->spawn(std::move(config), compute_once(msec(20)));
     platform->start(task);

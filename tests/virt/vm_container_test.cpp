@@ -1,3 +1,4 @@
+#include "support/names.hpp"
 #include "virt/vm_container.hpp"
 
 #include <gtest/gtest.h>
@@ -55,7 +56,7 @@ TEST(VmContainerTest, WorkloadCompletes) {
   int done = 0;
   for (int i = 0; i < 6; ++i) {
     WorkTaskConfig config;
-    config.name = "w" + std::to_string(i);
+    config.name = test::numbered("w", i);
     config.on_exit = [&done](os::Task&) { ++done; };
     os::Task& task = h.platform.spawn(std::move(config),
                                       compute_once(msec(20)));

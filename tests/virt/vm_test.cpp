@@ -1,3 +1,4 @@
+#include "support/names.hpp"
 #include "virt/vm.hpp"
 
 #include <gtest/gtest.h>
@@ -84,7 +85,7 @@ TEST(VmTest, GuestTasksMultiplexOntoVcpus) {
   int done = 0;
   for (int i = 0; i < 8; ++i) {
     WorkTaskConfig config;
-    config.name = "app" + std::to_string(i);
+    config.name = test::numbered("app", i);
     config.on_exit = [&done](os::Task&) { ++done; };
     os::Task& task = h.platform.spawn(std::move(config),
                                       compute_once(msec(25)));

@@ -27,20 +27,6 @@ struct Poker {
   }
 };
 
-// The sharded-engine mailbox rows and the fleet's host->shard map are
-// guarded the same way (owners: sharded_engine.*, cluster/fleet.*).
-struct ShardPoker {
-  std::vector<int> outbox_;
-  std::vector<int> host_shard_;
-
-  int box(int src) {
-    return outbox_[src];  // expect: index-safety
-  }
-  int home(int host) {
-    return host_shard_[host];  // expect: index-safety
-  }
-};
-
 // Cgroup membership slots are guarded like the parked list (owner:
 // cgroup.cpp).
 struct MemberTask {

@@ -7,10 +7,9 @@
 // definitions, constructors with member-init lists, and lambdas folded
 // into their enclosing function), every call site inside each body,
 // subscript writes, allocation-risk sites for the hot-path rule,
-// `Type [*|&] var` declaration bindings, `.reserve()` sites, and the
-// cross-shard mailbox `post(...)` lambdas. Summaries are cheap,
-// independent per file, and therefore parallelize over a
-// util::ThreadPool; `scan_tree` merges them in path-sorted order so
+// `Type [*|&] var` declaration bindings, and `.reserve()` sites.
+// Summaries are cheap, independent per file, and therefore parallelize
+// over a util::ThreadPool; `scan_tree` merges them in path-sorted order so
 // serial and parallel runs are byte-identical.
 //
 // Pass 2 (`run_index_rules`) merges the summaries into a SymbolIndex
@@ -24,14 +23,8 @@
 // edge (no false paths), which the rules compensate for with explicit
 // annotations on the entry points they care about.
 //
-// The three rule groups:
+// The two rule groups:
 //
-//   shard-affinity  lambdas passed to a member `post(...)` whose
-//                   destination argument is not the literal 0 run on a
-//                   non-zero shard: neither they nor anything they
-//                   reach may touch symbols annotated
-//                   `// pinsim-lint: shard-owner(0)` — except inside a
-//                   nested post() (the sanctioned mailbox hop back).
 //   hot-path        forward reachability from `// pinsim-lint: hot`
 //                   functions; allocation / std::function / log-sink /
 //                   unreserved-push_back sites on any reached function
@@ -58,7 +51,6 @@ struct CallSite {
   std::string qualifier;  // "Kernel" for Kernel::tick(...), else ""
   std::string receiver;   // identifier before . or -> for member calls
   bool member = false;
-  bool in_post = false;  // inside the argument list of a member post()
   int line = 0;
 };
 
@@ -76,14 +68,6 @@ struct RiskSite {
   int line = 0;
 };
 
-/// Use of a declaration-bound variable: `var.` / `var->`.
-struct BoundTouch {
-  std::string var;
-  std::string type;
-  bool in_post = false;  // inside the argument list of a member post()
-  int line = 0;
-};
-
 struct FunctionDef {
   std::string name;
   std::string klass;  // enclosing class or `X::` qualifier; "" if free
@@ -93,34 +77,11 @@ struct FunctionDef {
   std::vector<CallSite> calls;
   std::vector<SubscriptWrite> writes;
   std::vector<RiskSite> risks;
-  std::vector<BoundTouch> touches;
-};
-
-struct ClassDef {
-  std::string name;
-  std::string file;
-  int line = 0;
-  std::set<std::string> annotations;
-};
-
-/// A lambda passed to a member `post(...)` call whose destination
-/// argument is not the literal 0 — i.e. a callback that will run on a
-/// non-zero shard. Calls/touches inside nested member post() spans are
-/// NOT recorded (posting back through the mailbox is the sanctioned
-/// way to reach shard-0 state).
-struct MailboxLambda {
-  std::string file;
-  std::string enclosing;  // name of the function the post() sits in
-  int line = 0;           // line of the post token
-  std::vector<CallSite> calls;
-  std::vector<BoundTouch> touches;
 };
 
 struct FileSummary {
   std::string path;
   std::vector<FunctionDef> functions;
-  std::vector<ClassDef> classes;
-  std::vector<MailboxLambda> mailbox;
   /// var -> declared type, from `Type [*|&|const] var` shapes.
   std::map<std::string, std::string> bindings;
   /// (enclosing class, container) pairs with a `.reserve(` site.
@@ -139,9 +100,6 @@ struct SymbolIndex {
   std::vector<FileSummary> files;
   std::vector<const FunctionDef*> functions;  // file order, then body order
   std::map<std::string, std::vector<int>> by_name;  // name -> function ids
-  /// Class name -> union of its annotations across all definitions (a
-  /// shard-owner marking anywhere marks the name).
-  std::map<std::string, std::set<std::string>> class_annotations;
   std::set<std::pair<std::string, std::string>> reserved;
   std::map<std::string, int> file_id;  // path -> index into files
 

@@ -1,8 +1,8 @@
 // Tests for pinsim-lint pass 1/2: the per-file summarizer (function /
-// class / call / risk / mailbox extraction), the merged SymbolIndex
-// and its conservative call resolution, the three reachability rule
-// groups (exact (rule, line) fixture assertions, triggering and
-// clean), and the serial-vs-parallel whole-tree scan equivalence.
+// call / risk extraction), the merged SymbolIndex and its conservative
+// call resolution, the two reachability rule groups (exact (rule, line)
+// fixture assertions, triggering and clean), and the serial-vs-parallel
+// whole-tree scan equivalence.
 #include "index.hpp"
 
 #include <chrono>
@@ -151,8 +151,6 @@ TEST(IndexSummary, AnnotationsAttachToDefinitions) {
 // pinsim-lint: hot
 void spin() {}
 void relax() {}  // pinsim-lint: quiet-mutator
-// pinsim-lint: shard-owner(0)
-struct Front {};
 // A comment merely TALKING about pinsim-lint: hot loops in prose must
 // not annotate anything.
 void cold() {}
@@ -160,10 +158,7 @@ void cold() {}
   EXPECT_EQ(find_fn(s, "spin")->annotations, std::set<std::string>{"hot"});
   EXPECT_EQ(find_fn(s, "relax")->annotations,
             std::set<std::string>{"quiet-mutator"});
-  ASSERT_EQ(s.classes.size(), 1u);
-  EXPECT_EQ(s.classes[0].name, "Front");
-  EXPECT_EQ(s.classes[0].annotations,
-            std::set<std::string>{"shard-owner(0)"});
+  EXPECT_TRUE(find_fn(s, "cold")->annotations.empty());
 }
 
 TEST(IndexSummary, BindingsAndReserves) {
@@ -184,9 +179,12 @@ void use() {
   EXPECT_EQ(s.reserved.count({"Pool", "heap_"}), 1u);
   const FunctionDef* use = find_fn(s, "use");
   ASSERT_NE(use, nullptr);
-  ASSERT_EQ(use->touches.size(), 1u);
-  EXPECT_EQ(use->touches[0].var, "lb");
-  EXPECT_EQ(use->touches[0].type, "Balancer");
+  // The member call keeps its receiver, which the binding resolves to
+  // Balancer::add.
+  ASSERT_EQ(use->calls.size(), 1u);
+  EXPECT_EQ(use->calls[0].name, "add");
+  EXPECT_EQ(use->calls[0].receiver, "lb");
+  EXPECT_TRUE(use->calls[0].member);
 }
 
 TEST(IndexSummary, CallbackRegistrationFoldsIntoEnclosing) {
@@ -204,40 +202,6 @@ struct Kernel {
   ASSERT_NE(arm, nullptr);
   EXPECT_TRUE(calls_name(*arm, "schedule"));
   EXPECT_TRUE(calls_name(*arm, "tick"));
-}
-
-TEST(IndexSummary, MailboxExtraction) {
-  const FileSummary s = summarize(R"(
-struct Net {
-  template <typename Fn> void post(int, int, int, Fn&&);
-};
-struct Fleet {
-  Net net_;
-  void run() {
-    net_.post(0, 3, 1, [this] {
-      work();
-      net_.post(3, 0, 1, [this] { settle(); });
-    });
-    net_.post(3, 0, 1, [this] { settle(); });
-  }
-  void work();
-  void settle();
-};
-)");
-  // Only the cross-shard post is a mailbox lambda; the two dst==0
-  // posts are the sanctioned hop back and are not recorded. The
-  // nested post's body is excluded from the recorded lambda.
-  ASSERT_EQ(s.mailbox.size(), 1u);
-  const MailboxLambda& ml = s.mailbox[0];
-  EXPECT_EQ(ml.enclosing, "run");
-  bool saw_work = false;
-  bool saw_settle = false;
-  for (const CallSite& call : ml.calls) {
-    saw_work = saw_work || call.name == "work";
-    saw_settle = saw_settle || call.name == "settle";
-  }
-  EXPECT_TRUE(saw_work);
-  EXPECT_FALSE(saw_settle) << "nested post-back body must be excluded";
 }
 
 // ---------------------------------------------------------------------------
@@ -367,19 +331,10 @@ TEST(IndexRules, QuietFunnelBad) {
 TEST(IndexRules, QuietFunnelOk) {
   expect_index_clean("quiet_funnel_ok.cpp", "src/os/kernel_x.cpp");
 }
-TEST(IndexRules, ShardAffinityBad) {
-  expect_index_markers("shard_affinity_bad.cpp", "src/cluster/fleet_x.cpp");
-}
-TEST(IndexRules, ShardAffinityOk) {
-  expect_index_clean("shard_affinity_ok.cpp", "src/cluster/fleet_x.cpp");
-}
 
 TEST(IndexRules, QuietFunnelScopedToConfiguredDirs) {
   // The same writers outside config.quiet_funnel.dirs are silent.
   expect_index_clean("quiet_funnel_bad.cpp", "src/sim/elsewhere.cpp");
-}
-TEST(IndexRules, ShardAffinityScopedToConfiguredDirs) {
-  expect_index_clean("shard_affinity_bad.cpp", "src/sim/elsewhere.cpp");
 }
 
 // ---------------------------------------------------------------------------

@@ -481,10 +481,9 @@ void Checker::check_predicate_purity() {
     if (!is_ident(i, "run_until") || !is_punct(i + 1, "(")) continue;
     // Scan the argument list (predicate lambda included) to the
     // matching close paren. Any g_-prefixed identifier in there is a
-    // mutable file-scope global by project convention: the predicate
-    // is re-evaluated at shard-window boundaries, so a stop condition
-    // on shared mutable state makes where the run stops depend on
-    // host-thread interleaving.
+    // mutable file-scope global by project convention. Every --jobs
+    // worker shares it, so a stop condition that reads one makes where
+    // each run stops depend on host-thread interleaving.
     int depth = 0;
     for (std::size_t j = i + 1; j < toks().size(); ++j) {
       if (is_punct(j, "(")) {
@@ -500,9 +499,10 @@ void Checker::check_predicate_purity() {
           t.text.compare(0, 2, "g_") == 0) {
         report(rule, t.line,
                "run_until predicate references mutable global '" + t.text +
-                   "' — stop conditions are evaluated at shard-window "
-                   "boundaries and must be pure functions of simulation "
-                   "state; capture what the predicate needs explicitly");
+                   "' — a global is shared by every --jobs worker, so "
+                   "the stop condition must be a pure function of "
+                   "simulation state; capture what the predicate needs "
+                   "explicitly");
       }
     }
   }
@@ -646,9 +646,6 @@ Config default_config() {
       {"park_index", {"src/os/cgroup.cpp", "src/os/task.hpp"}},
       {"member_index", {"src/os/cgroup.cpp", "src/os/task.hpp"}},
       {"links_", {"src/sim/engine.hpp", "src/sim/engine.cpp"}},
-      {"outbox_",
-       {"src/sim/sharded_engine.hpp", "src/sim/sharded_engine.cpp"}},
-      {"host_shard_", {"src/cluster/fleet.hpp", "src/cluster/fleet.cpp"}},
       {"boundary_", {"src/os/kernel.cpp", "src/os/kernel.hpp"}},
   };
   config.guarded_timers = {
@@ -664,7 +661,6 @@ Config default_config() {
   config.quiet_funnel.state_prefixes = {"quiet_", "charged_until_",
                                         "slice_started_", "slice_length_"};
   config.quiet_funnel.dirs = {"src/os/"};
-  config.shard_affinity_dirs = {"src/cluster/", "src/core/"};
   return config;
 }
 

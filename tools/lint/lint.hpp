@@ -28,9 +28,9 @@
 //                 schedule_tracked() or reschedule() will CHECK-fail.
 //   predicate-purity
 //                 run_until() predicates that read g_-prefixed mutable
-//                 globals — a stop condition on shared mutable state is
-//                 evaluated at window boundaries under the sharded
-//                 engine and must depend only on simulation state.
+//                 globals — a global is shared by every --jobs worker,
+//                 so a stop condition that reads one stops each
+//                 simulation nondeterministically.
 //   float-accumulation
 //                 float/double accumulation (`sum += x`, `sum = sum + x`)
 //                 inside a range-for over an unordered container —
@@ -43,12 +43,8 @@
 // On top of the per-file passes, a second pass runs over a cross-file
 // symbol index (function definitions, an approximate call graph, and
 // per-symbol annotations read from `// pinsim-lint: hot` /
-// `shard-owner(0)` / `quiet-mutator` comments — see index.hpp):
+// `quiet-mutator` comments — see index.hpp):
 //
-//   shard-affinity
-//                 code reachable from a cross-shard mailbox post()
-//                 callback must not touch shard-0-owned symbols except
-//                 by posting back through the mailbox.
 //   hot-path      no allocation (`new`, make_unique/make_shared,
 //                 push_back into a never-reserved container),
 //                 std::function construction, or log-sink call
@@ -118,8 +114,8 @@ struct Config {
 
   /// Directory prefixes the predicate-purity rule applies to: inside a
   /// run_until(...) call, identifiers with the g_ mutable-global prefix
-  /// are findings (the predicate must be a pure function of simulation
-  /// state, or sharded runs stop nondeterministically).
+  /// are findings (a global is shared by every --jobs worker, so a
+  /// predicate that reads one stops nondeterministically).
   std::vector<std::string> predicate_purity_dirs;
 
   /// Directory prefixes the float-accumulation rule applies to: a
@@ -150,10 +146,6 @@ struct Config {
     std::vector<std::string> dirs;
   };
   QuietFunnel quiet_funnel;
-
-  /// Directory prefixes whose member `post(...)` lambdas are treated
-  /// as cross-shard mailbox callbacks (shard-affinity roots).
-  std::vector<std::string> shard_affinity_dirs;
 };
 
 /// The policy shipped with the repo (matches the layout under src/).

@@ -130,40 +130,18 @@ TEST(LintIndexSafety, FlagsRawSubscriptsOutsideOwners) {
 }
 
 TEST(LintIndexSafety, OwnerFileMayTouchItsOwnIndex) {
-  // As the rq_index owner, the park_index, links_, outbox_,
-  // host_shard_ and member_index findings remain (their owners are
-  // cgroup.cpp, the engine, the sharded engine, the fleet, and
+  // As the rq_index owner, the park_index, links_ and member_index
+  // findings remain (their owners are cgroup.cpp, the engine, and
   // cgroup.cpp respectively).
   expect_exactly("index_safety_bad.cpp", "src/os/runqueue.cpp",
                  {{"index-safety", 23},
                   {"index-safety", 26},
-                  {"index-safety", 37},
-                  {"index-safety", 40},
-                  {"index-safety", 54}});
+                  {"index-safety", 40}});
   // The cgroup owns both of its slot indexes, park_index and
   // member_index; every other finding remains.
   expect_exactly("index_safety_bad.cpp", "src/os/cgroup.cpp",
                  {{"index-safety", 20},
-                  {"index-safety", 23},
-                  {"index-safety", 37},
-                  {"index-safety", 40}});
-}
-
-TEST(LintIndexSafety, ShardedOwnersMayTouchTheirOwnIndexes) {
-  // The sharded engine owns outbox_; host_shard_ still flags there (its
-  // owner is the fleet), and vice versa.
-  expect_exactly("index_safety_bad.cpp", "src/sim/sharded_engine.cpp",
-                 {{"index-safety", 20},
-                  {"index-safety", 23},
-                  {"index-safety", 26},
-                  {"index-safety", 40},
-                  {"index-safety", 54}});
-  expect_exactly("index_safety_bad.cpp", "src/cluster/fleet.cpp",
-                 {{"index-safety", 20},
-                  {"index-safety", 23},
-                  {"index-safety", 26},
-                  {"index-safety", 37},
-                  {"index-safety", 54}});
+                  {"index-safety", 23}});
 }
 
 TEST(LintIndexSafety, SilentOnReadsLambdasAndAnnotated) {
